@@ -16,26 +16,16 @@ from math import prod
 
 from .lattice import (
     LatticeMap,
+    QuotientSplit,
     Vec,
-    _snf_full,
-    complement,
     coordinates_in,
     dot,
     rank as matrix_rank,
     saturate_sublattice,
+    smith_normal_form,
 )
-from .monoid import (
-    AffineMonoid,
-    MonoidError,
-    monoids_equal,
-    saturated_hull,
-)
-from .log_morphism import (
-    ChartMapError,
-    MonoidChart,
-    is_dominant,
-    is_log_smooth,
-)
+from .monoid import AffineMonoid, monoids_equal, saturated_hull
+from .log_morphism import MonoidChart, is_dominant, is_log_smooth
 
 
 class BaseChangeError(ValueError):
@@ -64,6 +54,7 @@ class SatBaseChangeResult:
     structural_map: MonoidChart
     torsion_order: int
     fibre_dim: int
+    torsion_divisors: tuple[int, ...]
 
 
 def _gp_coords(m: AffineMonoid):
@@ -98,27 +89,25 @@ def _pushout_with_rows(theta: MonoidChart, phi: MonoidChart):
     gp_p, _ = _gp_coords(p)
     gp_q, coords_q = _gp_coords(theta.target)
     gp_p2, coords_p2 = _gp_coords(phi.target)
-    rp, rq, rp2 = gp_p.rank, gp_q.rank, gp_p2.rank
+    rq, rp2 = gp_q.rank, gp_p2.rank
     n = rq + rp2
     cols = []
     for b in gp_p.basis_vectors():
         top = coords_q(theta.map.apply(b))
         bot = coords_p2(phi.map.apply(b))
         cols.append(tuple(top) + tuple(-x for x in bot))
-    rows = tuple(tuple(cols[j][i] for j in range(rp)) for i in range(n))
-    U, D, _, _, _ = _snf_full(rows, n, rp)
-    r = sum(1 for i in range(min(n, rp)) if D[i][i] != 0)
-    divisors = tuple(abs(D[i][i]) for i in range(r) if abs(D[i][i]) > 1)
+    snf = smith_normal_form(LatticeMap.from_columns(cols, n))
+    r = sum(1 for d in snf.diagonal if d != 0)
+    divisors = tuple(d for d in snf.diagonal[:r] if d > 1)
     free_rows = []
-    for i in range(r, n):
-        row = U[i]
+    for row in snf.left_unimodular.entries[r:]:
         for x in row:
             if x > 0:
                 break
             if x < 0:
                 row = tuple(-y for y in row)
                 break
-        free_rows.append(tuple(row))
+        free_rows.append(row)
 
     def to_free(y: Vec) -> Vec:
         return tuple(dot(row, y) for row in free_rows)
@@ -151,38 +140,27 @@ def _ambient_extension(m: AffineMonoid, basis_images: list[Vec],
     Vectors in the saturation of gp(m) get the unique divisible value; a
     complement of the saturation is sent to zero.
     """
-    from .monoid import _unimodular_inverse
-
-    n = m.ambient_rank
     gp = m.group_completion_lattice()
     sat, index = saturate_sublattice(gp)
-    s = sat.rank
-    if s < n:
-        comp = complement(sat)
-        cols = sat.basis_vectors() + comp.basis_vectors()
-    else:
-        cols = sat.basis_vectors()
-    inv_rows = _unimodular_inverse(cols, n)
+    on_gp = LatticeMap.from_columns(basis_images, target_rank)
     img_cols = []
     for v in sat.basis_vectors():
-        scaled = tuple(index * x for x in v)
-        c = coordinates_in(gp, scaled)
+        c = coordinates_in(gp, tuple(index * x for x in v))
         if c is None:
             raise BaseChangeError("saturation index does not clear torsion")
-        img = tuple(sum(c[j] * basis_images[j][i] for j in range(gp.rank))
-                    for i in range(target_rank))
+        img = on_gp.apply(c)
         if any(x % index for x in img):
             raise BaseChangeError(
                 "structural map has no integral extension to the ambient "
                 "lattice")
         img_cols.append(tuple(x // index for x in img))
-    for _ in range(n - s):
-        img_cols.append((0,) * target_rank)
-    entries = tuple(
-        tuple(sum(img_cols[j][i] * inv_rows[j][b] for j in range(n))
-              for b in range(n))
-        for i in range(target_rank))
-    return LatticeMap(n, target_rank, entries)
+    # the value on e_b is the image of its coordinates along sat, which
+    # are the first sat.rank entries of column b of the inverse
+    on_sat = LatticeMap.from_columns(img_cols, target_rank)
+    inverse = QuotientSplit(sat).inverse
+    return LatticeMap.from_columns(
+        [on_sat.apply(col[:sat.rank]) for col in inverse.columns()],
+        target_rank)
 
 
 def saturated_base_change(theta: MonoidChart,
@@ -194,20 +172,19 @@ def saturated_base_change(theta: MonoidChart,
     images of Q and P' is saturated; the structural map sends P' to its
     images.  Requires theta dominant.
     """
+    # the pushout's errors take precedence over the dominance check
+    po, free_rows = _pushout_with_rows(theta, phi)
     if not is_dominant(theta):
         raise BaseChangeError(
             "saturated base change requires a dominant first chart")
-    po, free_rows = _pushout_with_rows(theta, phi)
     f = po.group_pushout_rank
     main = saturated_hull(f, list(po.q_images) + list(po.p2_images))
     p2 = phi.target
     gp_p2 = p2.group_completion_lattice()
     rq = theta.target.group_completion_lattice().rank
-    basis_images = [
-        tuple(dot(row, (0,) * rq + tuple(b)) for row in free_rows)
-        for b in (tuple(1 if j == i else 0 for j in range(gp_p2.rank))
-                  for i in range(gp_p2.rank))
-    ]
+    # the free-quotient image of the i-th basis vector of P'^gp
+    basis_images = [tuple(row[rq + i] for row in free_rows)
+                    for i in range(gp_p2.rank)]
     smap = _ambient_extension(p2, basis_images, f)
     structural = MonoidChart(source=p2, target=main, map=smap)
     image_cols = [smap.apply(b) for b in gp_p2.basis_vectors()]
@@ -219,6 +196,7 @@ def saturated_base_change(theta: MonoidChart,
         structural_map=structural,
         torsion_order=po.torsion_order,
         fibre_dim=fibre_dim,
+        torsion_divisors=po.torsion_divisors,
     )
 
 

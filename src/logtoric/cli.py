@@ -19,7 +19,6 @@ import sys
 from . import __version__
 from .base_change import (
     BaseChangeError,
-    monoid_pushout,
     saturated_base_change,
     verify_base_change,
 )
@@ -36,7 +35,6 @@ from .log_morphism import (
 )
 from .monoid import MonoidError, hilbert_basis, minimal_elements, NatTupleSet
 from .oracle import (
-    Box,
     OracleError,
     brute_hilbert_basis,
     brute_minimal_tuples,
@@ -45,10 +43,10 @@ from .oracle import (
 )
 from .serialize import (
     FormatError,
+    decode_box,
     decode_cone,
     decode_monoid_chart,
     decode_toric_chart,
-    decode_vector,
     decode_vectors,
     dumps,
     encode_base_change_result,
@@ -56,7 +54,6 @@ from .serialize import (
     encode_monoid,
     encode_vector,
     encode_vectors,
-    _int,
 )
 from .toric_chart import (
     ChartError,
@@ -173,10 +170,9 @@ def _cmd_fibre_dim(payload):
 def _cmd_base_change(payload):
     theta = decode_monoid_chart(_payload_field(payload, "theta"))
     phi = decode_monoid_chart(_payload_field(payload, "phi"))
-    pushout = monoid_pushout(theta, phi)
     result = saturated_base_change(theta, phi)
     out = encode_base_change_result(result)
-    out["torsion_divisors"] = [str(d) for d in pushout.torsion_divisors]
+    out["torsion_divisors"] = [str(d) for d in result.torsion_divisors]
     return out
 
 
@@ -194,22 +190,15 @@ def _cmd_verify(payload):
     }
 
 
-def _decode_box(obj) -> Box:
-    rank = _int(_payload_field(obj, "rank"))
-    return Box(rank,
-               decode_vector(_payload_field(obj, "lower"), rank),
-               decode_vector(_payload_field(obj, "upper"), rank))
-
-
 def _cmd_oracle(payload):
     check = _payload_field(payload, "check")
     if check == "cone-points":
         c = decode_cone(_payload_field(payload, "cone"))
-        pts = enumerate_cone_points(c, _decode_box(_payload_field(payload, "box")))
+        pts = enumerate_cone_points(c, decode_box(_payload_field(payload, "box")))
         return {"points": encode_vectors(pts)}
     if check == "hilbert-basis":
         c = decode_cone(_payload_field(payload, "cone"))
-        basis = brute_hilbert_basis(c, _decode_box(_payload_field(payload, "box")))
+        basis = brute_hilbert_basis(c, decode_box(_payload_field(payload, "box")))
         return {"hilbert_basis": encode_vectors(sorted(basis))}
     if check == "saturation":
         gens = decode_vectors(_payload_field(payload, "generators"))
@@ -217,7 +206,7 @@ def _cmd_oracle(payload):
         rank = len(gens[0]) if gens else len(group[0])
         lattice = sublattice_from_vectors(rank, group)
         out = brute_saturation(gens, lattice,
-                               _decode_box(_payload_field(payload, "box")))
+                               decode_box(_payload_field(payload, "box")))
         return {"irreducibles": encode_vectors(sorted(out))}
     if check == "minimal-elements":
         tuples = decode_vectors(_payload_field(payload, "tuples"))

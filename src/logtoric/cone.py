@@ -7,12 +7,11 @@ lineality basis plus span equations).  All vectors are primitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .lattice import (
     LatticeMap,
-    Sublattice,
     Vec,
     complement,
     dot,
@@ -28,12 +27,14 @@ class ConeError(ValueError):
     pass
 
 
-def _grlex_key(v: Vec):
-    return (sum(abs(a) for a in v), v)
+def grlex_sorted(vectors) -> list[Vec]:
+    """The vectors in graded lexicographic order: by the sum of absolute
+    values, then lexicographically."""
+    return sorted(vectors, key=lambda v: (sum(abs(a) for a in v), v))
 
 
 def _sorted_vecs(vectors) -> tuple[Vec, ...]:
-    return tuple(sorted({tuple(v) for v in vectors}, key=_grlex_key))
+    return tuple(grlex_sorted({tuple(v) for v in vectors}))
 
 
 def _sign_normalized(v: Vec) -> Vec:
@@ -92,10 +93,8 @@ def extreme_rays_of_halfspaces(rows, ambient_rank: int):
                 cands.add(w)
             elif all(v <= 0 for v in vals):
                 cands.add(vec_neg(w))
-    rays = []
-    for w in sorted(cands):
-        x = tuple(sum(wcols[j][i] * w[j] for j in range(d)) for i in range(n))
-        rays.append(primitive(x))
+    wmap = LatticeMap.from_columns(wcols, n)
+    rays = [primitive(wmap.apply(w)) for w in sorted(cands)]
     return _sorted_vecs(rays), lin_basis
 
 
@@ -231,9 +230,6 @@ class Face:
         return sublattice_from_vectors(self.parent.ambient_rank,
                                        self.generators).rank
 
-    def as_cone(self) -> RationalCone:
-        return cone_from_generators(self.parent.ambient_rank, self.generators)
-
 
 def faces(c: RationalCone) -> list[Face]:
     """All faces of a strongly convex cone, from {0} up to c itself.
@@ -244,8 +240,6 @@ def faces(c: RationalCone) -> list[Face]:
     if not c.is_strongly_convex:
         raise ConeError("face enumeration requires a strongly convex cone")
     n = c.ambient_rank
-    normals = list(c.facet_normals) + list(c.equations) + \
-        [vec_neg(e) for e in c.equations]
     seen: dict[tuple[Vec, ...], tuple[Vec, ...]] = {}
     for k in range(len(c.facet_normals) + 1):
         for subset in combinations(range(len(c.facet_normals)), k):
@@ -264,10 +258,6 @@ def faces(c: RationalCone) -> list[Face]:
     out = [Face(c, m, gens) for gens, m in seen.items()]
     out.sort(key=lambda f: (len(f.generators), f.generators))
     return out
-
-
-def is_face_of(c: RationalCone, f: Face) -> bool:
-    return f.parent == c
 
 
 def contains(c: RationalCone, v) -> bool:

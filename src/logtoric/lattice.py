@@ -28,16 +28,8 @@ def dot(u: Vec, v: Vec) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(k: int, v: Vec) -> Vec:
-    return tuple(k * a for a in v)
 
 
 def vec_neg(v: Vec) -> Vec:
@@ -88,11 +80,6 @@ class LatticeMap:
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
-    def zero(target_rank: int, source_rank: int) -> "LatticeMap":
-        return LatticeMap(source_rank, target_rank,
-                          tuple((0,) * source_rank for _ in range(target_rank)))
-
-    @staticmethod
     def from_columns(columns, target_rank: int) -> "LatticeMap":
         cols = [tuple(c) for c in columns]
         for c in cols:
@@ -112,13 +99,6 @@ class LatticeMap:
             raise LatticeError("vector length does not match source rank")
         return tuple(dot(row, v) for row in self.entries)
 
-    def compose(self, other: "LatticeMap") -> "LatticeMap":
-        """self after other (matrix product self * other)."""
-        if other.target_rank != self.source_rank:
-            raise LatticeError("composition rank mismatch")
-        cols = [self.apply(other.column(j)) for j in range(other.source_rank)]
-        return LatticeMap.from_columns(cols, self.target_rank)
-
     def transpose(self) -> "LatticeMap":
         return LatticeMap(self.target_rank, self.source_rank, tuple(
             tuple(self.entries[i][j] for i in range(self.target_rank))
@@ -136,11 +116,14 @@ class SmithDecomposition:
 
 @dataclass(frozen=True)
 class Sublattice:
-    """A sublattice of Z^ambient_rank given by an injective basis matrix."""
+    """A sublattice of Z^ambient_rank given by an injective basis matrix.
+
+    Every constructor in this module stores the canonical row Hermite
+    basis (see _row_hermite), so equal lattices have equal bases.
+    """
 
     ambient_rank: int
     basis: LatticeMap
-    saturated: bool
 
     def __post_init__(self):
         if self.basis.target_rank != self.ambient_rank:
@@ -153,18 +136,15 @@ class Sublattice:
     def basis_vectors(self) -> list[Vec]:
         return self.basis.columns()
 
-    def is_full(self) -> bool:
-        return self.rank == self.ambient_rank
-
 
 def _identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _snf_full(entries: Mat, nrows: int, ncols: int):
-    """Smith normal form with all four transformation matrices.
+    """Smith normal form with its transformation matrices.
 
-    Returns (U, D, V, Uinv, Vinv) as lists of lists with U*A*V = D,
+    Returns (U, D, V, Uinv) as lists of lists with U*A*V = D,
     D diagonal with the divisibility chain, U,V unimodular.  Pivot choice
     is the minimal-absolute-value nonzero entry, ties broken by (row,
     column) position, so the output is deterministic.
@@ -173,7 +153,6 @@ def _snf_full(entries: Mat, nrows: int, ncols: int):
     U = _identity_rows(nrows)
     Uinv = _identity_rows(nrows)
     V = _identity_rows(ncols)
-    Vinv = _identity_rows(ncols)
 
     def row_add(i, k, q):
         # row i += q * row k
@@ -200,14 +179,12 @@ def _snf_full(entries: Mat, nrows: int, ncols: int):
             D[r][j] += q * D[r][k]
         for r in range(ncols):
             V[r][j] += q * V[r][k]
-        Vinv[k] = [a - q * b for a, b in zip(Vinv[k], Vinv[j])]
 
     def col_swap(j, k):
         for r in range(nrows):
             D[r][j], D[r][k] = D[r][k], D[r][j]
         for r in range(ncols):
             V[r][j], V[r][k] = V[r][k], V[r][j]
-        Vinv[j], Vinv[k] = Vinv[k], Vinv[j]
 
     def find_pivot(t):
         best = None
@@ -274,12 +251,12 @@ def _snf_full(entries: Mat, nrows: int, ncols: int):
             row_add(t, offender, 1)
         t += 1
 
-    return U, D, V, Uinv, Vinv
+    return U, D, V, Uinv
 
 
 def smith_normal_form(m: LatticeMap) -> SmithDecomposition:
     """Deterministic Smith normal form: left*m*right = diag(diagonal)."""
-    U, D, V, _, _ = _snf_full(m.entries, m.target_rank, m.source_rank)
+    U, D, V, _ = _snf_full(m.entries, m.target_rank, m.source_rank)
     k = min(m.target_rank, m.source_rank)
     diagonal = tuple(D[i][i] for i in range(k))
     left = LatticeMap(m.target_rank, m.target_rank, U)
@@ -288,13 +265,13 @@ def smith_normal_form(m: LatticeMap) -> SmithDecomposition:
 
 
 def rank(m: LatticeMap) -> int:
-    _, D, _, _, _ = _snf_full(m.entries, m.target_rank, m.source_rank)
+    _, D, _, _ = _snf_full(m.entries, m.target_rank, m.source_rank)
     return sum(1 for i in range(min(m.target_rank, m.source_rank)) if D[i][i])
 
 
 def cokernel_invariants(m: LatticeMap) -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion divisors > 1) of coker(m) = Z^target / im(m)."""
-    _, D, _, _, _ = _snf_full(m.entries, m.target_rank, m.source_rank)
+    _, D, _, _ = _snf_full(m.entries, m.target_rank, m.source_rank)
     divisors = [D[i][i] for i in range(min(m.target_rank, m.source_rank)) if D[i][i]]
     free_rank = m.target_rank - len(divisors)
     torsion = tuple(d for d in divisors if d > 1)
@@ -351,36 +328,27 @@ def sublattice_from_vectors(ambient_rank: int, vectors) -> Sublattice:
         if len(v) != ambient_rank:
             raise LatticeError("vector does not live in the ambient lattice")
     basis_rows = _row_hermite(vecs)
-    basis = LatticeMap.from_columns(basis_rows, ambient_rank)
-    sat = _is_saturated_basis(basis)
-    return Sublattice(ambient_rank, basis, sat)
+    return Sublattice(ambient_rank,
+                      LatticeMap.from_columns(basis_rows, ambient_rank))
 
 
 def zero_sublattice(ambient_rank: int) -> Sublattice:
-    return Sublattice(ambient_rank, LatticeMap.from_columns([], ambient_rank), True)
+    return Sublattice(ambient_rank, LatticeMap.from_columns([], ambient_rank))
 
 
 def full_sublattice(ambient_rank: int) -> Sublattice:
-    return Sublattice(ambient_rank, LatticeMap.identity(ambient_rank), True)
-
-
-def _is_saturated_basis(basis: LatticeMap) -> bool:
-    if basis.source_rank == 0:
-        return True
-    _, D, _, _, _ = _snf_full(basis.entries, basis.target_rank, basis.source_rank)
-    k = basis.source_rank
-    return all(abs(D[i][i]) == 1 for i in range(k))
+    return Sublattice(ambient_rank, LatticeMap.identity(ambient_rank))
 
 
 def kernel(m: LatticeMap) -> Sublattice:
     """The saturated sublattice of Z^source on which m vanishes."""
-    _, D, V, _, _ = _snf_full(m.entries, m.target_rank, m.source_rank)
+    _, D, V, _ = _snf_full(m.entries, m.target_rank, m.source_rank)
     r = sum(1 for i in range(min(m.target_rank, m.source_rank)) if D[i][i])
     cols = [tuple(V[i][j] for i in range(m.source_rank))
             for j in range(r, m.source_rank)]
     basis_rows = _row_hermite(cols)
     basis = LatticeMap.from_columns(basis_rows, m.source_rank)
-    return Sublattice(m.source_rank, basis, True)
+    return Sublattice(m.source_rank, basis)
 
 
 def image_lattice(m: LatticeMap) -> Sublattice:
@@ -394,7 +362,7 @@ def saturate_sublattice(s: Sublattice) -> tuple[Sublattice, int]:
     n = s.ambient_rank
     if k == 0:
         return s, 1
-    _, D, _, Uinv, _ = _snf_full(s.basis.entries, n, k)
+    _, D, _, Uinv = _snf_full(s.basis.entries, n, k)
     divisors = [D[i][i] for i in range(k)]
     if any(d == 0 for d in divisors):
         raise LatticeError("basis is not injective")
@@ -403,7 +371,7 @@ def saturate_sublattice(s: Sublattice) -> tuple[Sublattice, int]:
         index *= d
     cols = [tuple(Uinv[r][i] for r in range(n)) for i in range(k)]
     basis = LatticeMap.from_columns(_row_hermite(cols), n)
-    return Sublattice(n, basis, True), index
+    return Sublattice(n, basis), index
 
 
 def complement(s: Sublattice) -> Sublattice:
@@ -411,52 +379,74 @@ def complement(s: Sublattice) -> Sublattice:
 
     Built from the SNF transformation of the basis matrix, so the output
     is deterministic; the concatenated bases always have determinant +-1.
+    Raises LatticeError when s is not saturated, since then no direct
+    complement exists.
     """
-    if not s.saturated:
-        raise LatticeError("complement of an unsaturated sublattice need not exist")
     n = s.ambient_rank
     k = s.rank
     if k == 0:
         return full_sublattice(n)
-    if k == n:
-        return zero_sublattice(n)
-    _, D, _, Uinv, _ = _snf_full(s.basis.entries, n, k)
+    _, D, _, Uinv = _snf_full(s.basis.entries, n, k)
     if any(abs(D[i][i]) != 1 for i in range(k)):
-        raise LatticeError("sublattice is not saturated")
+        raise LatticeError(
+            "complement of an unsaturated sublattice need not exist")
     cols = [tuple(Uinv[r][i] for r in range(n)) for i in range(k, n)]
     basis = LatticeMap.from_columns(_row_hermite(cols), n)
-    return Sublattice(n, basis, True)
+    return Sublattice(n, basis)
+
+
+class QuotientSplit:
+    """The basis change Z^n = sat + complement(sat) of a saturated
+    sublattice.
+
+    inverse is the inverse of the matrix whose columns are the basis of
+    sat followed by the basis of the complement, so its rows from
+    sat.rank on are the coordinates of the quotient Z^n / sat.
+    """
+
+    def __init__(self, sat: Sublattice):
+        n = sat.ambient_rank
+        self.sub_rank = sat.rank
+        self.complement = complement(sat)
+        basis = LatticeMap.from_columns(
+            sat.basis_vectors() + self.complement.basis_vectors(), n)
+        # basis is unimodular: U*basis*V = D = diag(+-1), so its inverse
+        # is V*D*U
+        U, D, V, _ = _snf_full(basis.entries, n, n)
+        self.inverse = LatticeMap(n, n, tuple(
+            tuple(sum(V[i][k] * D[k][k] * U[k][j] for k in range(n))
+                  for j in range(n)) for i in range(n)))
+
+    def project(self, v: Vec) -> Vec:
+        """Image of v in the quotient lattice Z^(n - sub_rank)."""
+        return tuple(dot(r, v) for r in self.inverse.entries[self.sub_rank:])
+
+    def section(self, q: Vec) -> Vec:
+        """Canonical lift of a quotient vector (via the complement basis)."""
+        return self.complement.basis.apply(q)
 
 
 def coordinates_in(s: Sublattice, v: Vec) -> Vec | None:
-    """Coordinates of v in the basis of s, or None if v is not in s."""
-    n = s.ambient_rank
-    k = s.rank
-    if len(v) != n:
+    """Coordinates of v in the basis of s, or None if v is not in s.
+
+    The basis is in row Hermite form, so each coordinate is read off at
+    its basis vector's pivot, the first nonzero entry, and subtracted.
+    """
+    if len(v) != s.ambient_rank:
         raise LatticeError("vector does not live in the ambient lattice")
-    if k == 0:
-        return () if is_zero(v) else None
-    U, D, V, _, _ = _snf_full(s.basis.entries, n, k)
-    w = [dot(tuple(U[i]), v) for i in range(n)]
-    z = []
-    for i in range(k):
-        d = D[i][i]
-        if d == 0 or w[i] % d != 0:
+    w = tuple(v)
+    coords = []
+    for b in s.basis_vectors():
+        pivot = next(j for j, a in enumerate(b) if a)
+        c, r = divmod(w[pivot], b[pivot])
+        if r:
             return None
-        z.append(w[i] // d)
-    if any(w[i] != 0 for i in range(k, n)):
-        return None
-    return tuple(sum(V[i][j] * z[j] for j in range(k)) for i in range(k))
-
-
-def contains_vector(s: Sublattice, v: Vec) -> bool:
-    return coordinates_in(s, v) is not None
+        coords.append(c)
+        if c:
+            w = tuple(x - c * y for x, y in zip(w, b))
+    return tuple(coords) if is_zero(w) else None
 
 
 def lattices_equal(a: Sublattice, b: Sublattice) -> bool:
     """Equality as subsets of the ambient lattice (bases are canonical)."""
-    if a.ambient_rank != b.ambient_rank:
-        return False
-    ah = _row_hermite(a.basis.columns())
-    bh = _row_hermite(b.basis.columns())
-    return ah == bh
+    return a.ambient_rank == b.ambient_rank and a.basis == b.basis

@@ -13,21 +13,15 @@ from dataclasses import dataclass
 
 from .lattice import (
     LatticeMap,
+    QuotientSplit,
     Vec,
     cokernel_invariants,
     coordinates_in,
-    is_zero,
     kernel,
     rank as matrix_rank,
     saturate_sublattice,
 )
-from .monoid import (
-    AffineMonoid,
-    MonoidError,
-    _QuotientSplit,
-    monoid_contains,
-    sharpen,
-)
+from .monoid import AffineMonoid, monoid_contains, sharpen
 from .toric_chart import ToricChart
 
 
@@ -90,10 +84,7 @@ def _gp_matrix(c: MonoidChart) -> LatticeMap:
 
 def is_dominant(c: MonoidChart) -> bool:
     """True iff theta^gp is injective on the source group completion."""
-    gp = _gp_matrix(c)
-    if gp.source_rank == 0:
-        return True
-    return kernel(gp).rank == 0
+    return is_log_smooth(c)[0]
 
 
 def is_log_smooth(c: MonoidChart) -> tuple[bool, list[Vec]]:
@@ -109,13 +100,8 @@ def is_log_smooth(c: MonoidChart) -> tuple[bool, list[Vec]]:
     ker = kernel(gp)
     if ker.rank == 0:
         return True, []
-    basis = c.source.group_completion_lattice().basis_vectors()
-    cert = []
-    for k in ker.basis_vectors():
-        cert.append(tuple(
-            sum(basis[j][i] * k[j] for j in range(len(basis)))
-            for i in range(c.source.ambient_rank)))
-    return False, cert
+    basis = c.source.group_completion_lattice().basis
+    return False, [basis.apply(k) for k in ker.basis_vectors()]
 
 
 def cokernel_of_gp(c: MonoidChart) -> tuple[int, tuple[int, ...]]:
@@ -149,7 +135,7 @@ def _sharp_projection(m: AffineMonoid):
     units = m.unit_sublattice
     if units.rank == 0:
         return lambda v: tuple(v)
-    split = _QuotientSplit(saturate_sublattice(units)[0])
+    split = QuotientSplit(saturate_sublattice(units)[0])
     return split.project
 
 

@@ -8,28 +8,21 @@ units carry the unit group as an explicit sublattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
-from .cone import (
-    ConeError,
-    RationalCone,
-    cone_from_generators,
-    dual_cone,
-    _grlex_key,
-)
+from .cone import RationalCone, cone_from_generators, grlex_sorted
 from .lattice import (
     LatticeMap,
+    QuotientSplit,
     Sublattice,
     Vec,
-    _snf_full,
-    complement,
     coordinates_in,
     dot,
     image_lattice,
     is_zero,
     lattices_equal,
     saturate_sublattice,
+    smith_normal_form,
     sublattice_from_vectors,
     vec_neg,
     vec_sub,
@@ -102,40 +95,6 @@ class AffineMonoid:
         return sublattice_from_vectors(self.ambient_rank, self.generators)
 
 
-def _unimodular_inverse(cols: list[Vec], n: int) -> list[Vec]:
-    """Rows of the inverse of the unimodular matrix with the given columns."""
-    rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    U, D, V, _, _ = _snf_full(rows, n, n)
-    if any(abs(D[i][i]) != 1 for i in range(n)):
-        raise MonoidError("matrix is not unimodular")
-    # D = diag(+-1); M^-1 = V * D^-1 * U, and D^-1 = D
-    inv = [[sum(V[i][k] * D[k][k] * U[k][j] for k in range(n))
-            for j in range(n)] for i in range(n)]
-    return [tuple(r) for r in inv]
-
-
-class _QuotientSplit:
-    """Coordinates for Z^n = (saturated sublattice) + (complement)."""
-
-    def __init__(self, sat: Sublattice):
-        self.ambient_rank = sat.ambient_rank
-        self.sub_rank = sat.rank
-        self.comp = complement(sat)
-        cols = sat.basis_vectors() + self.comp.basis_vectors()
-        self._inv_rows = _unimodular_inverse(cols, sat.ambient_rank)
-
-    def project(self, v: Vec) -> Vec:
-        """Image of v in the quotient lattice Z^(n - sub_rank)."""
-        return tuple(dot(r, v) for r in self._inv_rows[self.sub_rank:])
-
-    def section(self, q: Vec) -> Vec:
-        """Canonical lift of a quotient vector (via the complement basis)."""
-        cols = self.comp.basis_vectors()
-        n = self.ambient_rank
-        return tuple(sum(cols[j][i] * q[j] for j in range(len(cols)))
-                     for i in range(n))
-
-
 def _positive_grading(c: RationalCone) -> Vec:
     """Integer functional strictly positive on a pointed cone minus 0."""
     n = c.ambient_rank
@@ -164,36 +123,35 @@ def _triangulate(ambient_rank: int, gens: list[Vec]) -> list[list[Vec]]:
 
 
 def _parallelepiped_points(rays: list[Vec], ambient_rank: int) -> list[Vec]:
-    """Lattice points of {sum t_i r_i : 0 <= t_i < 1} for independent rays."""
+    """Lattice points of {sum t_i r_i : 0 <= t_i < 1} for independent rays.
+
+    In coordinates of the saturated span the rays form a square matrix R
+    with U*R*V = D.  The cosets of Z^s / R Z^s are U^-1 * rep for rep in
+    the box of the invariant factors d_k, and the coset's point has ray
+    coefficients frac(R^-1 U^-1 rep) = frac(V * D^-1 * rep).  Scaled by
+    the last invariant factor e, which every d_k divides, these are the
+    integers (V * (e / d_k) * rep) mod e, so the point is
+    rays * ((V * (e / d_k) * rep) mod e) / e.
+    """
     s = len(rays)
-    span = sublattice_from_vectors(ambient_rank, rays)
-    sat, _ = saturate_sublattice(span)
+    sat, _ = saturate_sublattice(sublattice_from_vectors(ambient_rank, rays))
     coords = [coordinates_in(sat, r) for r in rays]
     if any(co is None for co in coords):
         raise MonoidError("ray outside saturated span")
-    rmat = tuple(tuple(coords[j][i] for j in range(s)) for i in range(s))
-    U, D, V, Uinv, _ = _snf_full(rmat, s, s)
-    divisors = [abs(D[i][i]) for i in range(s)]
+    snf = smith_normal_form(LatticeMap.from_columns(coords, s))
+    divisors = snf.diagonal
     if any(d == 0 for d in divisors):
         raise MonoidError("rays are not linearly independent")
-    det_sign = [1 if D[i][i] > 0 else -1 for i in range(s)]
-    basis = sat.basis_vectors()
+    e = divisors[-1]
+    ray_map = LatticeMap.from_columns(rays, ambient_rank)
     pts = []
     for rep in product(*(range(d) for d in divisors)):
-        # x = Uinv * rep is a coset representative of Z^s / R Z^s
-        x = tuple(sum(Uinv[i][k] * rep[k] for k in range(s)) for i in range(s))
-        # t = R^-1 x = V * D^-1 * U * x, with U*x = rep (up to sign of D)
-        t = [Fraction(0)] * s
-        for i in range(s):
-            for k in range(s):
-                t[i] += Fraction(V[i][k] * det_sign[k] * rep[k], divisors[k])
-        flo = [int(ti // 1) for ti in t]
-        p = tuple(x[i] - sum(rmat[i][k] * flo[k] for k in range(s))
-                  for i in range(s))
-        if is_zero(p):
+        y = snf.right_unimodular.apply(
+            tuple(e // d * k for d, k in zip(divisors, rep)))
+        frac = tuple(a % e for a in y)
+        if is_zero(frac):
             continue
-        pts.append(tuple(sum(basis[j][i] * p[j] for j in range(s))
-                         for i in range(ambient_rank)))
+        pts.append(tuple(a // e for a in ray_map.apply(frac)))
     return pts
 
 
@@ -215,7 +173,8 @@ def _hilbert_pointed(c: RationalCone) -> list[Vec]:
         candidates.update(_parallelepiped_points(simplex, c.ambient_rank))
     w = _positive_grading(c)
     basis: list[Vec] = []
-    for p in sorted(candidates, key=lambda v: (dot(w, v), _grlex_key(v))):
+    # grlex order within each degree: the sort by degree is stable
+    for p in sorted(grlex_sorted(candidates), key=lambda v: dot(w, v)):
         reducible = False
         for h in basis:
             q = vec_sub(p, h)
@@ -224,7 +183,7 @@ def _hilbert_pointed(c: RationalCone) -> list[Vec]:
                 break
         if not reducible:
             basis.append(p)
-    return sorted(basis, key=_grlex_key)
+    return grlex_sorted(basis)
 
 
 def hilbert_basis(c: RationalCone) -> AffineMonoid:
@@ -251,7 +210,7 @@ def monoid_from_cone(c: RationalCone) -> AffineMonoid:
         return hilbert_basis(c)
     n = c.ambient_rank
     units = sublattice_from_vectors(n, c.lineality)
-    split = _QuotientSplit(units)
+    split = QuotientSplit(units)
     img_gens = [split.project(g) for g in c.generators]
     img_cone = cone_from_generators(n - units.rank, img_gens)
     lifted = [split.section(h) for h in _hilbert_pointed(img_cone)]
@@ -261,7 +220,7 @@ def monoid_from_cone(c: RationalCone) -> AffineMonoid:
         gens.append(vec_neg(u))
     return AffineMonoid(
         ambient_rank=n,
-        generators=tuple(sorted(set(gens), key=_grlex_key)),
+        generators=tuple(grlex_sorted(set(gens))),
         cone=c,
         saturated=True,
         unit_sublattice=units,
@@ -324,7 +283,7 @@ def monoid_contains(m: AffineMonoid, v: Vec) -> bool:
         return bool(_nat_decompositions(list(m.generators), v, m.cone,
                                         first_only=True))
     sat_units, _ = saturate_sublattice(units)
-    split = _QuotientSplit(sat_units)
+    split = QuotientSplit(sat_units)
     pairs = [(split.project(g), g) for g in m.generators]
     pairs = [(q, g) for q, g in pairs if not is_zero(q)]
     target = split.project(v)
@@ -371,17 +330,12 @@ def _saturation_generators(m_gens: list[Vec], ambient_rank: int):
     coords = [coordinates_in(gp, g) for g in m_gens]
     inner_cone = cone_from_generators(r, coords, strongly_convex=False)
     inner = monoid_from_cone(inner_cone)
-    basis = gp.basis_vectors()
-
-    def back(q):
-        return tuple(sum(basis[j][i] * q[j] for j in range(r))
-                     for i in range(ambient_rank))
-
-    gens = [back(q) for q in inner.generators]
-    unit_vecs = [back(u) for u in inner.unit_sublattice.basis_vectors()]
+    gens = [gp.basis.apply(q) for q in inner.generators]
+    unit_vecs = [gp.basis.apply(u)
+                 for u in inner.unit_sublattice.basis_vectors()]
     units = sublattice_from_vectors(ambient_rank, unit_vecs) if unit_vecs \
         else zero_sublattice(ambient_rank)
-    return sorted(gens, key=_grlex_key), units
+    return grlex_sorted(gens), units
 
 
 def _is_saturated(ambient_rank: int, gens: list[Vec], c: RationalCone,
@@ -407,8 +361,8 @@ def affine_monoid(ambient_rank: int, generators) -> AffineMonoid:
     Generators are deduplicated and, for pointed monoids, reduced to the
     irreducible elements; the saturated flag is computed.
     """
-    gens = sorted({tuple(int(x) for x in g) for g in generators
-                   if not is_zero(tuple(g))}, key=_grlex_key)
+    gens = grlex_sorted({tuple(int(x) for x in g) for g in generators
+                         if not is_zero(tuple(g))})
     c = cone_from_generators(ambient_rank, gens, strongly_convex=False)
     units = _units_of_generators(ambient_rank, gens, c)
     if not c.lineality:
@@ -425,8 +379,8 @@ def affine_monoid(ambient_rank: int, generators) -> AffineMonoid:
 def saturated_hull(ambient_rank: int, generators) -> AffineMonoid:
     """The saturation cone(S) cap gp(S) of the monoid generated by S,
     computed in one pass (no minimality analysis of S itself)."""
-    gens = sorted({tuple(int(x) for x in g) for g in generators
-                   if not is_zero(tuple(g))}, key=_grlex_key)
+    gens = grlex_sorted({tuple(int(x) for x in g) for g in generators
+                         if not is_zero(tuple(g))})
     c = cone_from_generators(ambient_rank, gens, strongly_convex=False)
     sat_gens, units = _saturation_generators(gens, ambient_rank)
     return AffineMonoid(
@@ -459,10 +413,10 @@ def sharpen(m: AffineMonoid) -> tuple[AffineMonoid, Sublattice]:
     if units.rank == 0:
         return m, units
     sat_units, _ = saturate_sublattice(units)
-    split = _QuotientSplit(sat_units)
+    split = QuotientSplit(sat_units)
     q_rank = m.ambient_rank - sat_units.rank
-    img = sorted({split.project(g) for g in m.generators} - {(0,) * q_rank},
-                 key=_grlex_key)
+    img = grlex_sorted({split.project(g) for g in m.generators}
+                       - {(0,) * q_rank})
     if m.saturated:
         qcone = cone_from_generators(q_rank, img)
         sharp = AffineMonoid(q_rank, tuple(img), qcone, True,

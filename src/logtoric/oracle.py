@@ -39,10 +39,6 @@ class Box:
         return product(*ranges)
 
 
-def cube(rank: int, radius: int) -> Box:
-    return Box(rank, (-radius,) * rank, (radius,) * rank)
-
-
 def enumerate_cone_points(c: RationalCone, b: Box) -> list[Vec]:
     """Lattice points of the box satisfying every facet inequality and
     span equation of the cone, in lexicographic order."""

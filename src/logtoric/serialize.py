@@ -14,6 +14,7 @@ from .cone import RationalCone, cone_from_generators
 from .lattice import LatticeMap
 from .log_morphism import MonoidChart
 from .monoid import AffineMonoid, affine_monoid, saturate
+from .oracle import Box
 from .toric_chart import ToricChart, toric_chart
 
 
@@ -55,6 +56,18 @@ def decode_vectors(obj, rank: int | None = None) -> list:
     if not isinstance(obj, list):
         raise FormatError("vector list must be a JSON array")
     return [decode_vector(v, rank) for v in obj]
+
+
+def decode_box(obj) -> Box:
+    """An oracle search box: a rank and the lower and upper corners."""
+    def field(key):
+        if not isinstance(obj, dict) or key not in obj:
+            raise FormatError(f"missing required field {key!r}")
+        return obj[key]
+
+    rank = _int(field("rank"))
+    return Box(rank, decode_vector(field("lower"), rank),
+               decode_vector(field("upper"), rank))
 
 
 def encode_matrix(m: LatticeMap) -> list:

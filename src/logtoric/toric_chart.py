@@ -10,21 +10,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cone import (
-    ConeError,
     Face,
     RationalCone,
-    _grlex_key,
     cone_from_generators,
     dual_cone,
     faces as cone_faces,
+    grlex_sorted,
 )
 from .lattice import (
+    LatticeMap,
+    QuotientSplit,
     Sublattice,
     Vec,
     complement,
     coordinates_in,
     dot,
-    is_zero,
+    lattices_equal,
     saturate_sublattice,
     sublattice_from_vectors,
     vec_neg,
@@ -32,13 +33,9 @@ from .lattice import (
 )
 from .monoid import (
     AffineMonoid,
-    MonoidError,
     NatTupleSet,
     _nat_decompositions,
-    _positive_grading,
-    _QuotientSplit,
     affine_monoid,
-    hilbert_basis,
     minimal_elements,
     monoid_contains,
     monoid_from_cone,
@@ -158,21 +155,17 @@ def triviality_locus_group(c: ToricChart) -> Sublattice:
     return c.dual_monoid.group_completion_lattice()
 
 
-def _ray_pairing_rows(c: ToricChart, split: _QuotientSplit | None):
+def _ray_pairing_rows(c: ToricChart, split: QuotientSplit | None):
     """Pairing of (sharp) dual-monoid vectors with the cone's ray
     generators, one row per ray."""
     rays = c.cone.generators
     if split is None:
         return [tuple(r) for r in rays]
     # pairing with a ray vanishes on the unit part, so it descends to the
-    # sharp quotient: evaluate on the section of each quotient basis vector
-    q_rank = c.lattice_rank - split.sub_rank
-    rows = []
-    for r in rays:
-        rows.append(tuple(dot(r, split.section(
-            tuple(1 if j == i else 0 for j in range(q_rank))))
-            for i in range(q_rank)))
-    return rows
+    # sharp quotient: evaluate on the section of each quotient basis
+    # vector, which is the matching complement basis vector
+    comp = split.complement.basis_vectors()
+    return [tuple(dot(r, w) for w in comp) for r in rays]
 
 
 def boundary_ideal_generators(c: ToricChart) -> MonomialIdeal:
@@ -191,7 +184,7 @@ def boundary_ideal_generators(c: ToricChart) -> MonomialIdeal:
         return MonomialIdeal(dual, ())
     units = dual.unit_sublattice
     if units.rank:
-        split = _QuotientSplit(units)
+        split = QuotientSplit(units)
         sharp, _ = sharpen(dual)
         lift = split.section
         proj = split.project
@@ -201,6 +194,7 @@ def boundary_ideal_generators(c: ToricChart) -> MonomialIdeal:
         lift = lambda v: v
         proj = lambda v: v
     hb = list(sharp.generators)
+    hb_map = LatticeMap.from_columns(hb, sharp.ambient_rank)
     pair_rows = _ray_pairing_rows(c, split)
     pair = lambda v: [dot(row, v) for row in pair_rows]
     grading = tuple(sum(row[i] for row in pair_rows)
@@ -230,9 +224,7 @@ def boundary_ideal_generators(c: ToricChart) -> MonomialIdeal:
                 raise ChartError("enumerated element failed to decompose")
             tuples.add(reps[0])
         minima = minimal_elements(NatTupleSet(len(hb), frozenset(tuples)))
-        exps = sorted({tuple(sum(t[j] * hb[j][i] for j in range(len(hb)))
-                             for i in range(sharp.ambient_rank))
-                       for t in minima.tuples}, key=_grlex_key)
+        exps = grlex_sorted({hb_map.apply(t) for t in minima.tuples})
         # representation choice is not canonical: re-minimalize in
         # exponent space under monoid divisibility
         kept = []
@@ -262,10 +254,9 @@ def split_torus_factor(c: ToricChart) -> SplitResult:
     n = c.lattice_rank
     span = sublattice_from_vectors(n, c.cone.generators)
     n1, _ = saturate_sublattice(span)
-    if n1.rank == n:
-        n2 = sublattice_from_vectors(n, [])
-        return SplitResult(n1, n2, c.dual_monoid, 0)
     n2 = complement(n1)
+    if n1.rank == n:
+        return SplitResult(n1, n2, c.dual_monoid, 0)
     coords = [coordinates_in(n1, g) for g in c.cone.generators]
     if any(q is None for q in coords):
         raise ChartError("cone generator outside the saturated span")
@@ -276,29 +267,21 @@ def split_torus_factor(c: ToricChart) -> SplitResult:
 
 def reassembled_generators(c: ToricChart, s: SplitResult) -> list[Vec]:
     """Generators of (factor monoid + Z^torus_rank) carried into M by the
-    dual of the basis change [n1 | n2]."""
-    from .monoid import _unimodular_inverse
-
-    n = c.lattice_rank
-    cols = s.n1.basis_vectors() + s.n2.basis_vectors()
-    dual_rows = _unimodular_inverse(cols, n)
+    dual of the basis change [n1 | n2], with n2 = complement(n1)."""
+    dual_rows = QuotientSplit(s.n1).inverse.entries
     k = s.n1.rank
-    out = []
-    for q in s.factor_monoid.generators:
-        out.append(tuple(sum(q[j] * dual_rows[j][i] for j in range(k))
-                         for i in range(n)))
-    for j in range(k, n):
-        out.append(tuple(dual_rows[j]))
-        out.append(vec_neg(dual_rows[j]))
-    return sorted(set(out), key=_grlex_key)
+    to_m = LatticeMap.from_columns(dual_rows[:k], c.lattice_rank)
+    out = [to_m.apply(q) for q in s.factor_monoid.generators]
+    for row in dual_rows[k:]:
+        out.append(row)
+        out.append(vec_neg(row))
+    return grlex_sorted(set(out))
 
 
 def verify_split_reassembly(c: ToricChart, s: SplitResult) -> bool:
     """Check that the reassembled generators and the dual-monoid
     generators present the same monoid, matching bijectively modulo the
     torus-character units."""
-    from .lattice import lattices_equal
-
     reassembled = reassembled_generators(c, s)
     if len(reassembled) != len(c.dual_monoid.generators):
         return False
@@ -316,7 +299,7 @@ def verify_split_reassembly(c: ToricChart, s: SplitResult) -> bool:
         return False
     if units.rank == 0:
         return gen_set == set(c.dual_monoid.generators)
-    split = _QuotientSplit(saturate_sublattice(units)[0])
+    split = QuotientSplit(saturate_sublattice(units)[0])
     zero = (0,) * (c.lattice_rank - split.sub_rank)
     sharp_reass = {split.project(g) for g in gen_set} - {zero}
     sharp_orig = {split.project(g)

@@ -1,0 +1,76 @@
+"""Import hygiene of the library modules, checked on their syntax trees.
+
+No module may import a private name (one with a leading underscore)
+from another logtoric module, and no module may import a name it never
+uses.  __init__.py is exempt from the second rule: its imports are the
+package's public re-exports.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "logtoric"
+
+ALLOWED_PRIVATE = {
+    # boundary_ideal_generators decomposes every enumerated element; the
+    # exact boundary ideal (ROADMAP item 5) deletes that caller
+    ("toric_chart", "monoid", "_nat_decompositions"),
+}
+
+
+def _modules():
+    return sorted(SRC.glob("*.py"))
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _logtoric_source(node):
+    """The logtoric module an ImportFrom reads from, or None."""
+    if node.level:
+        return node.module or ""
+    if node.module == "logtoric" or (node.module or "").startswith(
+            "logtoric."):
+        return node.module.split(".", 1)[1] if "." in node.module else ""
+    return None
+
+
+def test_no_private_names_imported_across_modules():
+    found = []
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = _logtoric_source(node)
+            if source is None:
+                continue
+            for alias in node.names:
+                key = (path.stem, source, alias.name)
+                if _is_private(alias.name) and key not in ALLOWED_PRIVATE:
+                    found.append(f"{path.name}: {alias.name} from .{source}")
+    assert not found, found
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_no_unused_imports():
+    found = []
+    for path in _modules():
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for lineno, name in _imported_names(tree):
+            if name not in used:
+                found.append(f"{path.name}:{lineno}: {name}")
+    assert not found, found
+

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logtoric.lattice import (
     LatticeError,
@@ -18,6 +18,7 @@ from logtoric.lattice import (
     sublattice_from_vectors,
     zero_sublattice,
 )
+from logtoric.oracle import brute_group_membership
 
 
 def mat(rows):
@@ -102,10 +103,33 @@ def test_complement_rejects_unsaturated():
         complement(s)
 
 
-def test_coordinates_in():
-    s = sublattice_from_vectors(2, [(1, 0), (1, 2)])
-    assert coordinates_in(s, (0, 2)) is not None
-    assert coordinates_in(s, (0, 1)) is None
+# (ambient rank n, generators of a sublattice of rank 0..n, a vector w,
+# integer coefficients on the generators); the generators may be
+# dependent, so the sublattice need not have full rank
+sublattice_and_vectors = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                 max_size=n),
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@example((2, [[1, 0], [1, 2]], [0, 1], [0, -1]))
+@given(sublattice_and_vectors)
+def test_coordinates_in(data):
+    n, gens, w, coeffs = data
+    s = sublattice_from_vectors(n, gens)
+    inside = tuple(sum(c * g[i] for c, g in zip(coeffs, gens))
+                   for i in range(n))
+    q = coordinates_in(s, inside)
+    assert q is not None and s.basis.apply(q) == inside
+    for v in (tuple(w), tuple(a + b for a, b in zip(inside, w))):
+        q = coordinates_in(s, v)
+        assert (q is not None) == brute_group_membership(s, v)
+        if q is not None:
+            assert s.basis.apply(q) == v
 
 
 @settings(max_examples=80, deadline=None)

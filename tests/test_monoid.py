@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +22,9 @@ from logtoric.monoid import (
     saturated_hull,
     sharpen,
     trivial_monoid,
+    _parallelepiped_points,
 )
-from logtoric.oracle import Box, brute_hilbert_basis
+from logtoric.oracle import Box, brute_hilbert_basis, frac_rank
 
 from corpus_util import random_pointed_cone
 
@@ -194,3 +197,55 @@ def test_membership_in_unsaturated_monoid_with_units():
     assert monoid_contains(m, (3, 1))
     assert not monoid_contains(m, (2, 1))
     assert monoid_contains(m, (4, 2))
+
+
+def _fraction_inverse(rows):
+    """Inverse of a nonsingular square matrix, by Gauss-Jordan elimination
+    over the rationals."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if a[i][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
+
+
+def _box_parallelepiped_points(rays):
+    """Nonzero lattice points x of the bounding box of the half-open
+    parallelepiped whose ray coefficients R^-1 x all lie in [0, 1)."""
+    n = len(rays)
+    inverse = _fraction_inverse([[r[i] for r in rays] for i in range(n)])
+    lower = [sum(min(r[i], 0) for r in rays) for i in range(n)]
+    upper = [sum(max(r[i], 0) for r in rays) for i in range(n)]
+    out = set()
+    for x in product(*(range(lo, hi + 1) for lo, hi in zip(lower, upper))):
+        t = [sum(a * b for a, b in zip(row, x)) for row in inverse]
+        if any(x) and all(0 <= c < 1 for c in t):
+            out.add(x)
+    return out
+
+
+def test_parallelepiped_points_match_fraction_enumeration():
+    """Full-dimensional simplicial cones of rank 2-4 and multiplicity up
+    to 30, against a direct scan of the parallelepiped's bounding box."""
+    rng = random.Random(11)
+    checked = {2: 0, 3: 0, 4: 0}
+    while min(checked.values()) < 12:
+        n = rng.randint(2, 4)
+        rays = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
+        if frac_rank(rays) < n:
+            continue
+        points = _parallelepiped_points(rays, n)
+        # the points and 0 are one per coset of the rays' lattice, so
+        # there are multiplicity - 1 of them
+        if len(points) >= 30:
+            continue
+        assert len(points) == len(set(points))
+        assert set(points) == _box_parallelepiped_points(rays)
+        checked[n] += 1
