@@ -4,13 +4,14 @@ Usage (from the repository root):
 
     PYTHONPATH=src python3 tests/make_golden.py
 
-Each fixture file in tests/fixtures/golden/ holds problem documents of
-one benchmark workload (seed 1, block 0, from bench/workloads.py) and
-the sha256 of the canonical certificate that the library wrote for
-each of them when the file was made.  The test only reads these files,
-so a change to this script or to the benchmark cannot hide a change in
-the certificate bytes.  Run it again only when a change to the
-certificates is intended.
+Each fixture file tests/fixtures/golden/<workload>.jsonl holds problem
+documents of one benchmark workload (seed SEED, block BLOCK, from
+bench/workloads.py), one JSON object per line with the document's tag,
+the document and the sha256 of the canonical certificate that the
+library wrote for it when the file was made.  The test only reads these
+files, so a change to this script or to the benchmark cannot hide a
+change in the certificate bytes.  Run it again only when a change to
+the certificates is intended.
 
 The subset keeps the test near 10 s: the first base-change pairs of the
 catalogue, the wide-cones shapes of rank <= 4, and the chart-pipeline
@@ -75,10 +76,9 @@ def main():
             if select(name, tag, doc):
                 entries.append({"tag": tag, "problem": doc,
                                 "sha256": certificate_sha256(doc)})
-        path = OUT / f"{name}.json"
-        path.write_text(json.dumps({"workload": name, "seed": SEED,
-                                    "block": BLOCK, "documents": entries},
-                                   sort_keys=True, indent=1) + "\n")
+        path = OUT / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(e, sort_keys=True) + "\n"
+                                for e in entries))
         print(f"{path.name}: {len(entries)} of {len(block)} documents, "
               f"{time.perf_counter() - start:.1f} s")
 

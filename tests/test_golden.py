@@ -21,10 +21,10 @@ GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "golden"
 @pytest.mark.parametrize("workload",
                          ["chart-pipeline", "wide-cones", "base-change"])
 def test_golden_certificates(workload):
-    fixture = json.loads((GOLDEN / f"{workload}.json").read_text())
-    assert fixture["documents"]
+    lines = (GOLDEN / f"{workload}.jsonl").read_text().splitlines()
+    assert lines
     changed = []
-    for entry in fixture["documents"]:
+    for entry in map(json.loads, lines):
         certificate, _ = run_problem(entry["problem"])
         digest = hashlib.sha256(dumps(certificate).encode()).hexdigest()
         if digest != entry["sha256"]:
