@@ -14,8 +14,8 @@ change in the certificate bytes.  Run it again only when a change to
 the certificates is intended.
 
 The subset keeps the test near 10 s: the first base-change pairs of the
-catalogue, the wide-cones shapes of rank <= 4, and the chart-pipeline
-charts whose boundary ideal takes under CHART_BUDGET_S.
+catalogue, the wide-cones shapes of rank <= 4, and every chart-pipeline
+chart.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 from logtoric.cli import run_problem  # noqa: E402
-from logtoric.serialize import decode_toric_chart, dumps  # noqa: E402
-from logtoric.toric_chart import boundary_ideal_generators  # noqa: E402
+from logtoric.serialize import dumps  # noqa: E402
 from workloads import Workload  # noqa: E402
 
 OUT = Path(__file__).resolve().parent / "fixtures" / "golden"
@@ -40,7 +39,6 @@ SEED = 1
 BLOCK = 0
 BASE_CHANGE_PAIRS = 40
 WIDE_MAX_RANK = 4
-CHART_BUDGET_S = 0.2
 
 
 def certificate_sha256(doc) -> str:
@@ -59,10 +57,7 @@ def select(name, tag, doc):
         return int(tag.split(":")[1]) < BASE_CHANGE_PAIRS
     if name == "wide-cones":
         return int(doc["objects"]["sigma"]["rank"]) <= WIDE_MAX_RANK
-    chart = decode_toric_chart(doc["objects"]["chart"])
-    start = time.perf_counter()
-    boundary_ideal_generators(chart)
-    return time.perf_counter() - start < CHART_BUDGET_S
+    return True
 
 
 def main():
