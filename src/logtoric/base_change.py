@@ -209,7 +209,8 @@ def verify_base_change(r: SatBaseChangeResult, theta: MonoidChart) -> dict:
     """
     saturated_ok = r.main_monoid.saturated
     smooth_ok, certificate = is_log_smooth(r.structural_map)
-    dominant_ok = is_dominant(r.structural_map)
+    # in characteristic zero both are injectivity of the map on P'^gp
+    dominant_ok = smooth_ok
     rank_main = r.main_monoid.group_completion_lattice().rank
     rank_src = r.structural_map.source.group_completion_lattice().rank
     fibre_ok = r.fibre_dim == rank_main - rank_src if dominant_ok \

@@ -29,7 +29,6 @@ from .log_morphism import (
     cokernel_of_gp,
     fibre_dimension,
     is_dominant,
-    is_log_etale,
     is_log_smooth,
     is_strict,
 )
@@ -149,12 +148,11 @@ def _cmd_check_log_smooth(payload):
 
 def _cmd_check_log_etale(payload):
     chart = decode_monoid_chart(_payload_field(payload, "chart"))
-    verdict = is_log_etale(chart)
-    out = {"verdict": verdict}
-    if is_dominant(chart):
-        _, torsion = cokernel_of_gp(chart)
-        out["cokernel_torsion"] = [str(t) for t in torsion]
-    return out
+    if not is_dominant(chart):
+        return {"verdict": False}
+    free_rank, torsion = cokernel_of_gp(chart)
+    return {"verdict": free_rank == 0,
+            "cokernel_torsion": [str(t) for t in torsion]}
 
 
 def _cmd_check_strict(payload):

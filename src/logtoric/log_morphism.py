@@ -18,7 +18,6 @@ from .lattice import (
     cokernel_invariants,
     coordinates_in,
     kernel,
-    rank as matrix_rank,
     saturate_sublattice,
 )
 from .monoid import AffineMonoid, monoid_contains, sharpen
@@ -75,13 +74,6 @@ def from_toric_morphism(src: ToricChart, dst: ToricChart,
     )
 
 
-def _gp_matrix(c: MonoidChart) -> LatticeMap:
-    """theta^gp as a map from P^gp coordinates to the ambient target."""
-    basis = c.source.group_completion_lattice().basis_vectors()
-    return LatticeMap.from_columns([c.map.apply(b) for b in basis],
-                                   c.target.ambient_rank)
-
-
 def is_dominant(c: MonoidChart) -> bool:
     """True iff theta^gp is injective on the source group completion."""
     return is_log_smooth(c)[0]
@@ -94,13 +86,15 @@ def is_log_smooth(c: MonoidChart) -> tuple[bool, list[Vec]]:
     kernel of theta^gp in ambient source coordinates when the verdict is
     false, empty otherwise.
     """
-    gp = _gp_matrix(c)
-    if gp.source_rank == 0:
+    basis = c.source.group_completion_lattice().basis
+    if basis.source_rank == 0:
         return True, []
+    # theta^gp as a map from P^gp coordinates to the ambient target
+    gp = LatticeMap.from_columns([c.map.apply(b) for b in basis.columns()],
+                                 c.target.ambient_rank)
     ker = kernel(gp)
     if ker.rank == 0:
         return True, []
-    basis = c.source.group_completion_lattice().basis
     return False, [basis.apply(k) for k in ker.basis_vectors()]
 
 
@@ -174,7 +168,6 @@ def fibre_dimension(c: MonoidChart) -> int:
     """rank Q^gp - rank theta^gp(P^gp), defined for dominant charts."""
     if not is_dominant(c):
         raise ChartMapError("fibre dimension requires a dominant chart")
-    gp = _gp_matrix(c)
-    target_rank = c.target.group_completion_lattice().rank
-    image_rank = matrix_rank(gp) if gp.source_rank else 0
-    return target_rank - image_rank
+    # theta^gp is injective, so its image has the rank of P^gp
+    return (c.target.group_completion_lattice().rank
+            - c.source.group_completion_lattice().rank)

@@ -33,10 +33,7 @@ from .lattice import (
 )
 from .monoid import (
     AffineMonoid,
-    NatTupleSet,
-    _nat_decompositions,
     affine_monoid,
-    minimal_elements,
     monoid_contains,
     monoid_from_cone,
     sharpen,
@@ -107,14 +104,19 @@ class SplitResult:
     torus_rank: int
 
 
+def _vanishing_generators(c: ToricChart, f: Face) -> list[Vec]:
+    """The dual-monoid generators vanishing on the face f."""
+    return [m for m in c.dual_monoid.generators
+            if all(dot(m, g) == 0 for g in f.generators)]
+
+
 def chart_faces(c: ToricChart) -> list[Face]:
     """Faces of the chart cone, with defining normals taken from the dual
     Hilbert basis: the normal of a face is the sum of the dual-monoid
     generators vanishing on it."""
     out = []
     for f in cone_faces(c.cone):
-        active = [m for m in c.dual_monoid.generators
-                  if all(dot(m, g) == 0 for g in f.generators)]
+        active = _vanishing_generators(c, f)
         normal = tuple(sum(m[i] for m in active) for i in range(c.lattice_rank)) \
             if active else (0,) * c.lattice_rank
         out.append(Face(c.cone, normal, f.generators))
@@ -133,9 +135,7 @@ def orbit_data(c: ToricChart, f: Face) -> OrbitData:
     generated by the dual generators vanishing on f.
     """
     _require_face(c, f)
-    gens = [m for m in c.dual_monoid.generators
-            if all(dot(m, g) == 0 for g in f.generators)]
-    closure = affine_monoid(c.lattice_rank, gens)
+    closure = affine_monoid(c.lattice_rank, _vanishing_generators(c, f))
     return OrbitData(
         face=f,
         orbit_dimension=c.lattice_rank - f.dim(),
@@ -169,78 +169,57 @@ def _ray_pairing_rows(c: ToricChart, split: QuotientSplit | None):
 
 
 def boundary_ideal_generators(c: ToricChart) -> MonomialIdeal:
-    """Dickson-minimal generators of the ideal of monoid elements that
-    pair >= 1 with every ray generator of the cone.
+    """Minimal generators of the ideal I of monoid elements that pair
+    >= 1 with every ray generator of the cone.
 
-    Ideal members inside a degree bound are written as natural-number
-    combinations of the dual Hilbert basis; the minimal coefficient
-    tuples are converted back to exponents and re-minimalized under
-    monoid divisibility (representations are not unique).  The bound is
-    doubled until the generator set stabilizes twice.
+    The work happens in the sharp dual monoid S = C cap Z^r, with C the
+    (pointed, full-dimensional) sharp dual cone and w the grading given
+    by the sum of the pairings with the rays; w is positive on C - 0.
+
+    Degree bound: by Caratheodory a minimal generator m is
+    sum lambda_i v_i with lambda_i >= 0 over at most r linearly
+    independent primitive extreme rays v_i of C.  If some lambda_i >= 2,
+    then m - v_i lies in C, and it still pairs >= 1 with every ray u:
+    where <u, v_i> = 0 its pairing is that of m, otherwise it is at least
+    (lambda_i - 1) <u, v_i> >= 1.  So m - v_i is in I and m is not
+    minimal.  Hence every lambda_i < 2 and w(m) < 2 * (sum of the r
+    largest w(v)).
+
+    One breadth-first pass over the Hilbert basis enumerates S below
+    that degree (w >= 1 on every basis element, so partial sums stay
+    below it).  An element m of I is minimal exactly when m - h is not in
+    I for every Hilbert-basis element h: any m' in I with m - m' in
+    S - 0 has m - m' = h + s, so m - h = m' + s is in I.
     """
     dual = c.dual_monoid
-    rays = list(c.cone.generators)
-    if not rays:
+    if not c.cone.generators:
         return MonomialIdeal(dual, ())
     units = dual.unit_sublattice
     if units.rank:
         split = QuotientSplit(units)
         sharp, _ = sharpen(dual)
         lift = split.section
-        proj = split.project
     else:
         split = None
         sharp = dual
         lift = lambda v: v
-        proj = lambda v: v
-    hb = list(sharp.generators)
-    hb_map = LatticeMap.from_columns(hb, sharp.ambient_rank)
+    r = sharp.ambient_rank
+    hb = sharp.generators
     pair_rows = _ray_pairing_rows(c, split)
-    pair = lambda v: [dot(row, v) for row in pair_rows]
-    grading = tuple(sum(row[i] for row in pair_rows)
-                    for i in range(sharp.ambient_rank))
-    max_pair = max(max(pair(h)) for h in hb)
-    bound = 2 * max(max_pair, 1)
-    prev: tuple[Vec, ...] | None = None
-    stable = 0
-    while True:
-        # breadth-first enumeration of sharp monoid elements by degree
-        frontier = {(0,) * sharp.ambient_rank}
-        elements = set(frontier)
-        while frontier:
-            new = set()
-            for v in frontier:
-                for h in hb:
-                    w = tuple(a + b for a, b in zip(v, h))
-                    if dot(grading, w) <= bound and w not in elements:
-                        new.add(w)
-            elements |= new
-            frontier = new
-        members = [v for v in elements if all(p >= 1 for p in pair(v))]
-        tuples = set()
-        for v in members:
-            reps = _nat_decompositions(hb, v, sharp.cone, first_only=True)
-            if not reps:
-                raise ChartError("enumerated element failed to decompose")
-            tuples.add(reps[0])
-        minima = minimal_elements(NatTupleSet(len(hb), frozenset(tuples)))
-        exps = grlex_sorted({hb_map.apply(t) for t in minima.tuples})
-        # representation choice is not canonical: re-minimalize in
-        # exponent space under monoid divisibility
-        kept = []
-        for e in exps:
-            if not any(monoid_contains(sharp, vec_sub(e, o))
-                       for o in exps if o != e):
-                kept.append(e)
-        gens = tuple(kept)
-        if gens == prev:
-            stable += 1
-            if stable >= 2:
-                break
-        else:
-            stable = 0
-            prev = gens
-        bound *= 2
+    in_ideal = lambda v: all(dot(row, v) >= 1 for row in pair_rows)
+    grading = tuple(sum(row[i] for row in pair_rows) for i in range(r))
+    ray_degrees = sorted((dot(grading, v) for v in sharp.cone.generators),
+                         reverse=True)
+    bound = 2 * sum(ray_degrees[:r])
+    frontier = {(0,) * r}
+    elements = set(frontier)
+    while frontier:
+        sums = {tuple(a + b for a, b in zip(v, h))
+                for v in frontier for h in hb}
+        frontier = {w for w in sums if dot(grading, w) < bound} - elements
+        elements |= frontier
+    gens = grlex_sorted(m for m in elements if in_ideal(m) and not any(
+        in_ideal(vec_sub(m, h)) for h in hb))
     return MonomialIdeal(dual, tuple(lift(g) for g in gens))
 
 
@@ -293,8 +272,7 @@ def verify_split_reassembly(c: ToricChart, s: SplitResult) -> bool:
     # also a generator
     gen_set = set(reassembled)
     unit_vecs = [g for g in gen_set if vec_neg(g) in gen_set]
-    reass_units = sublattice_from_vectors(c.lattice_rank, unit_vecs) \
-        if unit_vecs else sublattice_from_vectors(c.lattice_rank, [])
+    reass_units = sublattice_from_vectors(c.lattice_rank, unit_vecs)
     if not lattices_equal(units, reass_units):
         return False
     if units.rank == 0:

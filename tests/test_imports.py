@@ -11,13 +11,6 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "logtoric"
 
-ALLOWED_PRIVATE = {
-    # boundary_ideal_generators decomposes every enumerated element; the
-    # exact boundary ideal (ROADMAP item 5) deletes that caller
-    ("toric_chart", "monoid", "_nat_decompositions"),
-}
-
-
 def _modules():
     return sorted(SRC.glob("*.py"))
 
@@ -46,8 +39,7 @@ def test_no_private_names_imported_across_modules():
             if source is None:
                 continue
             for alias in node.names:
-                key = (path.stem, source, alias.name)
-                if _is_private(alias.name) and key not in ALLOWED_PRIVATE:
+                if _is_private(alias.name):
                     found.append(f"{path.name}: {alias.name} from .{source}")
     assert not found, found
 

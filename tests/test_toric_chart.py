@@ -42,25 +42,45 @@ def test_boundary_ideal_zero_cone():
     assert boundary_ideal_generators(c).generator_exponents == ()
 
 
-def test_boundary_ideal_oracle_box():
-    for rays in [[(1, 0), (0, 1)], [(1, 0), (1, 2)]]:
-        c = toric_chart(2, rays)
-        ideal = boundary_ideal_generators(c)
-        pts = enumerate_cone_points(c.dual_monoid.cone, Box(2, (-12, -12), (12, 12)))
-        for m in Box(2, (0, 0), (6, 6)).points():
-            if not monoid_contains(c.dual_monoid, m):
-                continue
-            in_ideal = all(sum(a * b for a, b in zip(m, u)) >= 1
-                           for u in c.cone.generators)
-            assert brute_ideal_membership(ideal, m, pts) == in_ideal
-
-
-def test_boundary_ideal_properties_random():
+def _random_charts():
     rng = random.Random(17)
     for _ in range(8):
         rank = rng.randint(2, 3)
         cone = random_pointed_cone(rng, rank, 2, rank + 1)
-        chart = toric_chart(rank, cone.generators)
+        yield toric_chart(rank, cone.generators)
+
+
+def test_boundary_ideal_oracle_box():
+    charts = [toric_chart(2, [(1, 0), (0, 1)]), toric_chart(2, [(1, 0), (1, 2)])]
+    charts += list(_random_charts())
+    # rank-4 charts with 14 and 35 dual generators, one ideal generator each
+    rank4 = [toric_chart(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                             (1, 2, 3, 5)]),
+             toric_chart(4, [(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1),
+                             (-1, -1, -1, 1)])]
+    assert [len(c.dual_monoid.generators) for c in rank4] == [14, 35]
+    half_width = {2: 6, 3: 4, 4: 3}
+    ideals = []
+    for c in charts + rank4:
+        n = c.lattice_rank
+        k = half_width[n]
+        ideal = boundary_ideal_generators(c)
+        ideals.append(ideal.generator_exponents)
+        # every m - g with m in the symmetric box stays in the outer box
+        outer = k + max(abs(x) for g in ideal.generator_exponents for x in g)
+        pts = enumerate_cone_points(c.dual_monoid.cone,
+                                    Box(n, (-outer,) * n, (outer,) * n))
+        for m in Box(n, (-k,) * n, (k,) * n).points():
+            if not monoid_contains(c.dual_monoid, m):
+                continue
+            in_ideal = all(sum(a * b for a, b in zip(m, u)) >= 1
+                           for u in c.cone.generators)
+            assert brute_ideal_membership(ideal, m, pts) == in_ideal, (c, m)
+    assert ideals[-2:] == [((1, 1, 1, -1),), ((0, 0, 0, 1),)]
+
+
+def test_boundary_ideal_properties_random():
+    for chart in _random_charts():
         ideal = boundary_ideal_generators(chart)
         gens = ideal.generator_exponents
         assert gens  # rays exist, so the ideal is nonempty
