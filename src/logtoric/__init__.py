@@ -48,6 +48,7 @@ from .toric_chart import (
     SplitResult,
     ToricChart,
     boundary_ideal_generators,
+    chart_face,
     chart_faces,
     face_localization,
     orbit_data,

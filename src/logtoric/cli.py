@@ -57,6 +57,7 @@ from .serialize import (
 from .toric_chart import (
     ChartError,
     boundary_ideal_generators,
+    chart_face,
     chart_faces,
     orbit_data,
     split_torus_factor,
@@ -107,19 +108,11 @@ def _cmd_faces(payload):
     ]}
 
 
-def _find_face(chart, gens):
-    want = set(gens)
-    for f in chart_faces(chart):
-        if set(f.generators) == want:
-            return f
-    raise ChartError("the given generators span no face of the cone")
-
-
 def _cmd_orbit(payload):
     chart = decode_toric_chart(_payload_field(payload, "chart"))
     gens = decode_vectors(_payload_field(payload, "face_generators"),
                           chart.lattice_rank)
-    od = orbit_data(chart, _find_face(chart, gens))
+    od = orbit_data(chart, chart_face(chart, gens))
     return {
         "orbit_dimension": str(od.orbit_dimension),
         "closure_monoid": encode_monoid(od.closure_monoid),

@@ -3,6 +3,12 @@
 Cones are stored in double description: extreme ray generators together
 with the facet normals (and, for cones containing lines, an explicit
 lineality basis plus span equations).  All vectors are primitive.
+
+Halfspaces become rays by trying each (d-1)-subset of the rows: its
+kernel is read off the signed maximal minors (Cramer's rule), with no
+Smith normal form.  A pointed cone takes that step once, for its facets;
+its rays are then picked out of the generators by their tight facets.
+Faces are the closed sets of the ray/facet incidence.
 """
 
 from __future__ import annotations
@@ -46,6 +52,39 @@ def _sign_normalized(v: Vec) -> Vec:
     return tuple(v)
 
 
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division in it is exact."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return 0
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _maximal_minors(rows) -> Vec:
+    """The signed maximal minors w_j = (-1)^j det(rows without column j)
+    of a (d-1) x d matrix.
+
+    Each row pairs to 0 with w, being the determinant of the d x d matrix
+    with that row repeated.  So w spans the kernel when the rows have
+    rank d-1 (Cramer's rule), and w = 0 when the rank is lower.
+    """
+    d = len(rows[0])
+    return tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
+                 for j in range(d))
+
+
 def extreme_rays_of_halfspaces(rows, ambient_rank: int):
     """Extreme rays and lineality of {x : <a, x> >= 0 for every row a}.
 
@@ -80,11 +119,10 @@ def extreme_rays_of_halfspaces(rows, ambient_rank: int):
     else:
         seen = set()
         for subset in combinations(range(len(arows)), d - 1):
-            sub = [arows[i] for i in subset]
-            ker = kernel(LatticeMap(d, d - 1, sub))
-            if ker.rank != 1:
+            w = _maximal_minors([arows[i] for i in subset])
+            if is_zero(w):
                 continue
-            w = primitive(ker.basis_vectors()[0])
+            w = primitive(w)
             if w in seen or vec_neg(w) in seen:
                 continue
             seen.add(w)
@@ -152,6 +190,25 @@ class RationalCone:
         return out
 
 
+def _pointed_rays(vecs, facet_rows) -> list[Vec]:
+    """Extreme rays of the pointed cone generated by vecs: the distinct
+    primitive inputs whose set of tight facets is maximal under inclusion.
+
+    The faces of a pointed cone match their sets of tight facets, and a
+    larger set means a smaller face.  An extreme ray is a face of
+    dimension 1, so no nonzero input has a strictly larger tight set.  A
+    non-extreme input lies in the relative interior of a face of
+    dimension >= 2, which is generated by the inputs in it; its rays are
+    among them and have strictly larger tight sets.
+    """
+    tight = {}
+    for v in {primitive(v) for v in vecs}:
+        tight[v] = frozenset(i for i, a in enumerate(facet_rows)
+                             if dot(a, v) == 0)
+    return [v for v, t in tight.items()
+            if not any(t < u for u in tight.values())]
+
+
 def cone_from_generators(ambient_rank: int, vectors,
                          strongly_convex: bool = True) -> RationalCone:
     """Cone generated by the vectors, reduced to primitive extreme rays.
@@ -172,8 +229,14 @@ def cone_from_generators(ambient_rank: int, vectors,
     # the dual cone's rays/lineality are the facets/equations of the primal
     facet_rows = list(dual_rays)
     eq_rows = [_sign_normalized(l) for l in dual_lin]
-    hrows = facet_rows + eq_rows + [vec_neg(e) for e in eq_rows]
-    rays, lin = extreme_rays_of_halfspaces(hrows, n) if hrows else ([], LatticeMap.identity(n).columns())
+    hrows = facet_rows + eq_rows
+    # pointed exactly when no nonzero vector is tight on every row
+    if hrows and kernel(LatticeMap(n, len(hrows), hrows)).rank == 0:
+        rays, lin = _pointed_rays(vecs, facet_rows), []
+    else:
+        hrows += [vec_neg(e) for e in eq_rows]
+        rays, lin = extreme_rays_of_halfspaces(hrows, n) if hrows \
+            else ([], LatticeMap.identity(n).columns())
     if strongly_convex and lin:
         raise ConeError("cone contains a line (not strongly convex)")
     return RationalCone(
@@ -234,28 +297,34 @@ class Face:
 def faces(c: RationalCone) -> list[Face]:
     """All faces of a strongly convex cone, from {0} up to c itself.
 
-    Every face is an intersection of facets; the stored defining normal
-    is the sum of all facet normals vanishing on the face.
+    The faces are the closed sets of the ray/facet incidence: every face
+    is the set of generators on which some facets vanish, so every face
+    is reached from c by intersecting with one facet's zero set at a
+    time, breadth-first (Kaibel-Pfetsch, 2002).  Sets are bit masks over
+    the generators.  The stored defining normal is the sum of all facet
+    normals vanishing on the face; it vanishes on exactly the face's
+    generators, since those are all the generators the facets share.
     """
     if not c.is_strongly_convex:
         raise ConeError("face enumeration requires a strongly convex cone")
-    n = c.ambient_rank
-    seen: dict[tuple[Vec, ...], tuple[Vec, ...]] = {}
-    for k in range(len(c.facet_normals) + 1):
-        for subset in combinations(range(len(c.facet_normals)), k):
-            gens = tuple(g for g in c.generators
-                         if all(dot(c.facet_normals[i], g) == 0 for i in subset))
-            if gens in seen:
-                continue
-            active = [a for a in c.facet_normals
-                      if all(dot(a, g) == 0 for g in gens)]
-            m = tuple(sum(a[i] for a in active) for i in range(n)) if active \
-                else (0,) * n
-            # validity: m must vanish exactly on gens among all generators
-            if any(dot(m, g) == 0 and g not in gens for g in c.generators):
-                continue
-            seen[gens] = m
-    out = [Face(c, m, gens) for gens, m in seen.items()]
+    gens = c.generators
+    zero_sets = [sum(1 << j for j, g in enumerate(gens) if dot(a, g) == 0)
+                 for a in c.facet_normals]
+    top = (1 << len(gens)) - 1
+    closed = {top}
+    queue = [top]
+    for s in queue:
+        for z in zero_sets:
+            t = s & z
+            if t not in closed:
+                closed.add(t)
+                queue.append(t)
+    out = []
+    for s in closed:
+        active = [a for a, z in zip(c.facet_normals, zero_sets) if s & z == s]
+        m = tuple(map(sum, zip(*active))) if active else (0,) * c.ambient_rank
+        face_gens = tuple(g for j, g in enumerate(gens) if s >> j & 1)
+        out.append(Face(c, m, face_gens))
     out.sort(key=lambda f: (len(f.generators), f.generators))
     return out
 

@@ -141,37 +141,42 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _snf_full(entries: Mat, nrows: int, ncols: int):
+def _snf_full(entries: Mat, nrows: int, ncols: int, inverse: bool = False):
     """Smith normal form with its transformation matrices.
 
     Returns (U, D, V, Uinv) as lists of lists with U*A*V = D,
-    D diagonal with the divisibility chain, U,V unimodular.  Pivot choice
-    is the minimal-absolute-value nonzero entry, ties broken by (row,
-    column) position, so the output is deterministic.
+    D diagonal with the divisibility chain, U,V unimodular.  Uinv, the
+    inverse of U, is tracked only with inverse=True and is None
+    otherwise.  Pivot choice is the minimal-absolute-value nonzero entry,
+    ties broken by (row, column) position, so the output is
+    deterministic.
     """
     D = [list(row) for row in entries]
     U = _identity_rows(nrows)
-    Uinv = _identity_rows(nrows)
+    Uinv = _identity_rows(nrows) if inverse else None
     V = _identity_rows(ncols)
 
     def row_add(i, k, q):
         # row i += q * row k
         D[i] = [a + q * b for a, b in zip(D[i], D[k])]
         U[i] = [a + q * b for a, b in zip(U[i], U[k])]
-        for r in range(nrows):
-            Uinv[r][k] -= q * Uinv[r][i]
+        if inverse:
+            for r in range(nrows):
+                Uinv[r][k] -= q * Uinv[r][i]
 
     def row_swap(i, k):
         D[i], D[k] = D[k], D[i]
         U[i], U[k] = U[k], U[i]
-        for r in range(nrows):
-            Uinv[r][i], Uinv[r][k] = Uinv[r][k], Uinv[r][i]
+        if inverse:
+            for r in range(nrows):
+                Uinv[r][i], Uinv[r][k] = Uinv[r][k], Uinv[r][i]
 
     def row_negate(i):
         D[i] = [-a for a in D[i]]
         U[i] = [-a for a in U[i]]
-        for r in range(nrows):
-            Uinv[r][i] = -Uinv[r][i]
+        if inverse:
+            for r in range(nrows):
+                Uinv[r][i] = -Uinv[r][i]
 
     def col_add(j, k, q):
         # col j += q * col k
@@ -362,7 +367,7 @@ def saturate_sublattice(s: Sublattice) -> tuple[Sublattice, int]:
     n = s.ambient_rank
     if k == 0:
         return s, 1
-    _, D, _, Uinv = _snf_full(s.basis.entries, n, k)
+    _, D, _, Uinv = _snf_full(s.basis.entries, n, k, inverse=True)
     divisors = [D[i][i] for i in range(k)]
     if any(d == 0 for d in divisors):
         raise LatticeError("basis is not injective")
@@ -386,7 +391,7 @@ def complement(s: Sublattice) -> Sublattice:
     k = s.rank
     if k == 0:
         return full_sublattice(n)
-    _, D, _, Uinv = _snf_full(s.basis.entries, n, k)
+    _, D, _, Uinv = _snf_full(s.basis.entries, n, k, inverse=True)
     if any(abs(D[i][i]) != 1 for i in range(k)):
         raise LatticeError(
             "complement of an unsaturated sublattice need not exist")

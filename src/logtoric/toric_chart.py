@@ -104,23 +104,41 @@ class SplitResult:
     torus_rank: int
 
 
-def _vanishing_generators(c: ToricChart, f: Face) -> list[Vec]:
-    """The dual-monoid generators vanishing on the face f."""
+def _vanishing_generators(c: ToricChart, gens) -> list[Vec]:
+    """The dual-monoid generators vanishing on the vectors gens."""
     return [m for m in c.dual_monoid.generators
-            if all(dot(m, g) == 0 for g in f.generators)]
+            if all(dot(m, g) == 0 for g in gens)]
+
+
+def _face_normal(c: ToricChart, gens) -> Vec:
+    active = _vanishing_generators(c, gens)
+    return tuple(map(sum, zip(*active))) if active else (0,) * c.lattice_rank
 
 
 def chart_faces(c: ToricChart) -> list[Face]:
     """Faces of the chart cone, with defining normals taken from the dual
     Hilbert basis: the normal of a face is the sum of the dual-monoid
     generators vanishing on it."""
-    out = []
-    for f in cone_faces(c.cone):
-        active = _vanishing_generators(c, f)
-        normal = tuple(sum(m[i] for m in active) for i in range(c.lattice_rank)) \
-            if active else (0,) * c.lattice_rank
-        out.append(Face(c.cone, normal, f.generators))
-    return out
+    return [Face(c.cone, _face_normal(c, f.generators), f.generators)
+            for f in cone_faces(c.cone)]
+
+
+def chart_face(c: ToricChart, generators) -> Face:
+    """The face of the chart cone whose ray generators are exactly the
+    given vectors, with the defining normal chart_faces gives it.
+
+    The dual generators vanishing on a set of rays generate the dual
+    face, so their sum vanishes on exactly the rays of the smallest face
+    containing the set.  The set is a face's ray set exactly when it is
+    closed in that sense: the sum vanishes on no other ray.
+    """
+    want = set(generators)
+    gens = tuple(g for g in c.cone.generators if g in want)
+    if len(gens) == len(want):
+        normal = _face_normal(c, gens)
+        if all(dot(normal, g) for g in c.cone.generators if g not in want):
+            return Face(c.cone, normal, gens)
+    raise ChartError("the given generators span no face of the cone")
 
 
 def _require_face(c: ToricChart, f: Face):
@@ -135,7 +153,8 @@ def orbit_data(c: ToricChart, f: Face) -> OrbitData:
     generated by the dual generators vanishing on f.
     """
     _require_face(c, f)
-    closure = affine_monoid(c.lattice_rank, _vanishing_generators(c, f))
+    closure = affine_monoid(c.lattice_rank,
+                            _vanishing_generators(c, f.generators))
     return OrbitData(
         face=f,
         orbit_dimension=c.lattice_rank - f.dim(),

@@ -8,6 +8,7 @@ from logtoric.oracle import Box, brute_ideal_membership, enumerate_cone_points
 from logtoric.toric_chart import (
     ChartError,
     boundary_ideal_generators,
+    chart_face,
     chart_faces,
     face_localization,
     orbit_data,
@@ -120,6 +121,29 @@ def test_orbit_face_count_bijection():
         by_dim.setdefault(f.dim(), 0)
         by_dim[f.dim()] += 1
     assert by_dim == {0: 1, 1: 3, 2: 3, 3: 1}
+
+
+def test_chart_face_matches_chart_faces():
+    """chart_face finds exactly the ray sets of chart_faces, in any
+    order and with repeats, with the same normal, and rejects every other
+    set of rays and any vector that is not a ray."""
+    rng, order = random.Random(13), random.Random(14)
+    for _ in range(15):
+        rank = rng.randint(2, 4)
+        c = toric_chart(rank, random_pointed_cone(rng, rank, 3, 5).generators)
+        by_set = {frozenset(f.generators): f for f in chart_faces(c)}
+        rays = c.cone.generators
+        for mask in range(1 << len(rays)):
+            gens = [g for j, g in enumerate(rays) if mask >> j & 1]
+            order.shuffle(gens)
+            f = by_set.get(frozenset(gens))
+            if f is None:
+                with pytest.raises(ChartError, match="span no face"):
+                    chart_face(c, gens)
+            else:
+                assert chart_face(c, gens + gens[:1]) == f
+        with pytest.raises(ChartError, match="span no face"):
+            chart_face(c, [tuple(2 * a for a in rays[0])])
 
 
 def test_face_localization_orthant():
