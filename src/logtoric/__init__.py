@@ -33,7 +33,6 @@ from .monoid import (
     MonoidError,
     NatTupleSet,
     affine_monoid,
-    group_completion,
     hilbert_basis,
     minimal_elements,
     monoid_contains,

@@ -59,7 +59,7 @@ class SatBaseChangeResult:
 
 def _gp_coords(m: AffineMonoid):
     """(basis vectors, coordinate function) for the group completion."""
-    gp = m.group_completion_lattice()
+    gp = m.group_completion
 
     def coords(v):
         q = coordinates_in(gp, v)
@@ -140,7 +140,7 @@ def _ambient_extension(m: AffineMonoid, basis_images: list[Vec],
     Vectors in the saturation of gp(m) get the unique divisible value; a
     complement of the saturation is sent to zero.
     """
-    gp = m.group_completion_lattice()
+    gp = m.group_completion
     sat, index = saturate_sublattice(gp)
     on_gp = LatticeMap.from_columns(basis_images, target_rank)
     img_cols = []
@@ -180,8 +180,8 @@ def saturated_base_change(theta: MonoidChart,
     f = po.group_pushout_rank
     main = saturated_hull(f, list(po.q_images) + list(po.p2_images))
     p2 = phi.target
-    gp_p2 = p2.group_completion_lattice()
-    rq = theta.target.group_completion_lattice().rank
+    gp_p2 = p2.group_completion
+    rq = theta.target.group_completion.rank
     # the free-quotient image of the i-th basis vector of P'^gp
     basis_images = [tuple(row[rq + i] for row in free_rows)
                     for i in range(gp_p2.rank)]
@@ -190,7 +190,7 @@ def saturated_base_change(theta: MonoidChart,
     image_cols = [smap.apply(b) for b in gp_p2.basis_vectors()]
     image_rank = matrix_rank(LatticeMap.from_columns(image_cols, f)) \
         if image_cols else 0
-    fibre_dim = main.group_completion_lattice().rank - image_rank
+    fibre_dim = main.group_completion.rank - image_rank
     return SatBaseChangeResult(
         main_monoid=main,
         structural_map=structural,
@@ -211,8 +211,8 @@ def verify_base_change(r: SatBaseChangeResult, theta: MonoidChart) -> dict:
     smooth_ok, certificate = is_log_smooth(r.structural_map)
     # in characteristic zero both are injectivity of the map on P'^gp
     dominant_ok = smooth_ok
-    rank_main = r.main_monoid.group_completion_lattice().rank
-    rank_src = r.structural_map.source.group_completion_lattice().rank
+    rank_main = r.main_monoid.group_completion.rank
+    rank_src = r.structural_map.source.group_completion.rank
     fibre_ok = r.fibre_dim == rank_main - rank_src if dominant_ok \
         else r.fibre_dim >= rank_main - rank_src
     report = {

@@ -86,7 +86,7 @@ def is_log_smooth(c: MonoidChart) -> tuple[bool, list[Vec]]:
     kernel of theta^gp in ambient source coordinates when the verdict is
     false, empty otherwise.
     """
-    basis = c.source.group_completion_lattice().basis
+    basis = c.source.group_completion.basis
     if basis.source_rank == 0:
         return True, []
     # theta^gp as a map from P^gp coordinates to the ambient target
@@ -100,8 +100,8 @@ def is_log_smooth(c: MonoidChart) -> tuple[bool, list[Vec]]:
 
 def cokernel_of_gp(c: MonoidChart) -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion divisors) of Q^gp / theta^gp(P^gp)."""
-    src_basis = c.source.group_completion_lattice().basis_vectors()
-    tgt = c.target.group_completion_lattice()
+    src_basis = c.source.group_completion.basis_vectors()
+    tgt = c.target.group_completion
     cols = []
     for b in src_basis:
         q = coordinates_in(tgt, c.map.apply(b))
@@ -169,5 +169,4 @@ def fibre_dimension(c: MonoidChart) -> int:
     if not is_dominant(c):
         raise ChartMapError("fibre dimension requires a dominant chart")
     # theta^gp is injective, so its image has the rank of P^gp
-    return (c.target.group_completion_lattice().rank
-            - c.source.group_completion_lattice().rank)
+    return c.target.group_completion.rank - c.source.group_completion.rank

@@ -8,6 +8,7 @@ units carry the unit group as an explicit sublattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .cone import RationalCone, cone_from_generators, grlex_sorted
@@ -91,7 +92,11 @@ class AffineMonoid:
     def is_trivial(self) -> bool:
         return not self.generators
 
-    def group_completion_lattice(self) -> Sublattice:
+    @cached_property
+    def group_completion(self) -> Sublattice:
+        """The sublattice of the ambient lattice generated by the monoid,
+        computed on first use.  The cache lives in the instance __dict__,
+        outside the dataclass fields, so equality and hashing ignore it."""
         return sublattice_from_vectors(self.ambient_rank, self.generators)
 
 
@@ -274,7 +279,7 @@ def monoid_contains(m: AffineMonoid, v: Vec) -> bool:
     if m.saturated:
         if not m.cone.contains(v):
             return False
-        gp = m.group_completion_lattice()
+        gp = m.group_completion
         return coordinates_in(gp, v) is not None
     if not m.cone.contains(v):
         return False
@@ -424,11 +429,6 @@ def sharpen(m: AffineMonoid) -> tuple[AffineMonoid, Sublattice]:
     else:
         sharp = affine_monoid(q_rank, img)
     return sharp, units
-
-
-def group_completion(m: AffineMonoid) -> Sublattice:
-    """The sublattice of the ambient lattice generated by the monoid."""
-    return m.group_completion_lattice()
 
 
 def trivial_monoid(ambient_rank: int) -> AffineMonoid:

@@ -1,9 +1,12 @@
 """Brute-force reference implementations used by the test suite.
 
 Everything here recomputes results from definitions over bounded boxes,
-using rational Gaussian elimination and numpy scans instead of the
-Smith-normal-form / double-description machinery of the main modules,
-so that agreement between the two is meaningful evidence.
+in plain Python integers and fractions: grid scans, a pairwise
+reducibility scan and rational Gaussian elimination instead of the
+Smith-normal-form / double-description machinery of the main modules.
+The only names taken from other logtoric modules are the containers
+``RationalCone``, ``Sublattice`` and ``Vec``, so agreement between the
+two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-
-import numpy as np
 
 from .cone import RationalCone
 from .lattice import Sublattice, Vec
@@ -54,43 +55,23 @@ def enumerate_cone_points(c: RationalCone, b: Box) -> list[Vec]:
     return out
 
 
+def _irreducibles(points) -> set[Vec]:
+    """The points p of a finite set of nonzero vectors such that p - q
+    lies outside the set for every q in it.  Candidates q are tried from
+    the smallest (in the sum of absolute values) up, because a reducible
+    point usually splits off a small summand."""
+    pts = sorted({tuple(p) for p in points},
+                 key=lambda p: (sum(abs(x) for x in p), p))
+    pset = set(pts)
+    return {p for p in pts
+            if not any(tuple(x - y for x, y in zip(p, q)) in pset
+                       for q in pts)}
+
+
 def brute_hilbert_basis(c: RationalCone, b: Box) -> set[Vec]:
-    """Cone points of the box that are not sums of two nonzero cone
-    points of the box (vectorized grid scan)."""
-    if b.rank != c.ambient_rank:
-        raise OracleError("box dimension does not match the cone")
-    n = b.rank
-    axes = [np.arange(l, u + 1, dtype=np.int64)
-            for l, u in zip(b.lower, b.upper)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"),
-                    axis=-1).reshape(-1, n)
-    keep = np.ones(len(grid), dtype=bool)
-    for row in c.facet_normals:
-        keep &= grid @ np.array(row, dtype=np.int64) >= 0
-    for row in c.equations:
-        keep &= grid @ np.array(row, dtype=np.int64) == 0
-    pts = grid[keep]
-    pts = pts[np.any(pts != 0, axis=1)]
-    if len(pts) == 0:
-        return set()
-    # encode points as single integers for fast membership tests on
-    # differences; the digit range must cover box points and differences
-    lower = np.array(b.lower, dtype=np.int64)
-    upper = np.array(b.upper, dtype=np.int64)
-    span = upper - lower
-    lo = np.minimum(lower, -span)
-    hi = np.maximum(upper, span)
-    base = int((hi - lo).max()) + 2
-    offset = lo
-    weights = base ** np.arange(n, dtype=np.int64)
-    codes = np.sort((pts - offset) @ weights)
-    basis = set()
-    for p in pts:
-        diff_codes = (p - pts - offset) @ weights
-        hits = codes[np.searchsorted(codes, diff_codes) % len(codes)]
-        if not np.any(hits == diff_codes):
-            basis.add(tuple(int(x) for x in p))
-    return basis
+    """Nonzero cone points of the box that are not sums of two nonzero
+    cone points of the box."""
+    return _irreducibles(p for p in enumerate_cone_points(c, b) if any(p))
 
 
 def brute_ideal_membership(ideal, v: Vec, monoid_points) -> bool:
@@ -208,26 +189,19 @@ def brute_saturation(generators, group_basis: Sublattice, b: Box) -> set[Vec]:
         if brute_cone_membership(gens, p) and \
                 brute_group_membership(group_basis, p):
             pts.append(tuple(p))
-    pset = set(pts)
-    out = set()
-    for p in pts:
-        reducible = any(
-            tuple(x - y for x, y in zip(p, q)) in pset
-            and any(x - y for x, y in zip(p, q))
-            for q in pset)
-        if not reducible:
-            out.add(p)
-    return out
+    return _irreducibles(pts)
 
 
 def brute_minimal_tuples(tuples) -> set[Vec]:
-    """Minimal elements under componentwise order, by a vectorized
-    all-pairs domination scan."""
-    tups = sorted({tuple(t) for t in tuples})
-    if not tups:
-        return set()
-    arr = np.array(tups, dtype=np.int64)
-    le = (arr[:, None, :] <= arr[None, :, :]).all(axis=2)
-    strict = le & ~(arr[:, None, :] == arr[None, :, :]).all(axis=2)
-    dominated = strict.any(axis=0)
-    return {tups[i] for i in range(len(tups)) if not dominated[i]}
+    """Minimal elements under componentwise order.
+
+    A tuple strictly below t componentwise is also lexicographically
+    smaller, so in lexicographic order t is minimal exactly when no
+    earlier tuple is <= t.  It suffices to compare t with the earlier
+    tuples kept, since every earlier tuple dropped lies above one of
+    them."""
+    kept: list[Vec] = []
+    for t in sorted({tuple(t) for t in tuples}):
+        if not any(all(x <= y for x, y in zip(m, t)) for m in kept):
+            kept.append(t)
+    return set(kept)

@@ -171,7 +171,7 @@ def face_localization(c: ToricChart, f: Face) -> ToricChart:
 def triviality_locus_group(c: ToricChart) -> Sublattice:
     """Group completion of the dual monoid (the character lattice of the
     open locus where the boundary is absent)."""
-    return c.dual_monoid.group_completion_lattice()
+    return c.dual_monoid.group_completion
 
 
 def _ray_pairing_rows(c: ToricChart, split: QuotientSplit | None):

@@ -182,7 +182,7 @@ def test_acceptance_5_log_smooth_classifier(announce):
     with budget(5, "log-smooth-classifier", 5, announce):
         for _ in range(200):
             chart = random_monoid_chart(rng)
-            basis = chart.source.group_completion_lattice().basis_vectors()
+            basis = chart.source.group_completion.basis_vectors()
             cols = [chart.map.apply(b) for b in basis]
             oracle = frac_kernel_is_zero(cols, chart.target.ambient_rank)
             smooth, cert = is_log_smooth(chart)

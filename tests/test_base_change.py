@@ -117,10 +117,9 @@ def test_dimension_additivity_on_corpus():
     for _ in range(10):
         theta, phi = random_toric_pair(rng)
         r = saturated_base_change(theta, phi)
-        rp = theta.source.group_completion_lattice().rank
-        rq = theta.target.group_completion_lattice().rank
-        rp2 = phi.target.group_completion_lattice().rank
+        rp = theta.source.group_completion.rank
+        rq = theta.target.group_completion.rank
+        rp2 = phi.target.group_completion.rank
         if is_dominant(phi):
-            assert r.main_monoid.group_completion_lattice().rank == \
-                rq + rp2 - rp
+            assert r.main_monoid.group_completion.rank == rq + rp2 - rp
         assert verify_base_change(r, theta)["passed"]

@@ -68,6 +68,16 @@ def test_check_log_smooth_witness(tmp_path, capsys):
     assert doc["kernel_certificate"] == [["1", "-1"]]
 
 
+def test_oracle_minimal_elements_big_integers(tmp_path, capsys):
+    path = write_payload(tmp_path, {
+        "check": "minimal-elements",
+        "tuples": [["1180591620717411303424", "0"], ["1", "1"]]})
+    code, out, _ = run_cli(capsys, ["oracle", "-i", path])
+    assert code == 0
+    assert json.loads(out)["minimal"] == \
+        [["1", "1"], ["1180591620717411303424", "0"]]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"cone": [truncated')

@@ -97,7 +97,7 @@ def test_dominance_oracle_agreement():
     rng = random.Random(6)
     for _ in range(60):
         c = random_monoid_chart(rng)
-        basis = c.source.group_completion_lattice().basis_vectors()
+        basis = c.source.group_completion.basis_vectors()
         cols = [c.map.apply(b) for b in basis]
         oracle = frac_kernel_is_zero(cols, c.target.ambient_rank)
         assert is_dominant(c) == oracle

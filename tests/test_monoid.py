@@ -12,7 +12,6 @@ from logtoric.monoid import (
     MonoidError,
     NatTupleSet,
     affine_monoid,
-    group_completion,
     hilbert_basis,
     minimal_elements,
     monoid_contains,
@@ -152,11 +151,15 @@ def test_units_not_saturated_in_lattice():
 
 def test_group_completion():
     m = affine_monoid(2, [(1, 0), (0, 1)])
-    assert group_completion(m).rank == 2
+    assert m.group_completion.rank == 2
     m2 = affine_monoid(2, [(2, 0)])
-    g = group_completion(m2)
+    g = m2.group_completion
     assert g.rank == 1 and g.basis_vectors() == [(2, 0)]
-    assert group_completion(trivial_monoid(2)).rank == 0
+    assert m2.group_completion is g
+    assert trivial_monoid(2).group_completion.rank == 0
+    # the cached value is not a field: equality and hashing ignore it
+    fresh = affine_monoid(2, [(2, 0)])
+    assert fresh == m2 and hash(fresh) == hash(m2)
 
 
 def test_saturate_preserves_cone():
