@@ -20,7 +20,6 @@ from .lattice import (
     Vec,
     coordinates_in,
     dot,
-    rank as matrix_rank,
     saturate_sublattice,
     smith_normal_form,
 )
@@ -50,11 +49,16 @@ class PushoutPresentation:
 
 @dataclass(frozen=True)
 class SatBaseChangeResult:
+    """The base change, with the structural map's log-smoothness verdict
+    and kernel certificate as ``is_log_smooth`` gives them."""
+
     main_monoid: AffineMonoid
     structural_map: MonoidChart
     torsion_order: int
     fibre_dim: int
     torsion_divisors: tuple[int, ...]
+    structural_log_smooth: bool
+    structural_kernel: tuple[Vec, ...]
 
 
 def _gp_coords(m: AffineMonoid):
@@ -187,9 +191,10 @@ def saturated_base_change(theta: MonoidChart,
                     for i in range(gp_p2.rank)]
     smap = _ambient_extension(p2, basis_images, f)
     structural = MonoidChart(source=p2, target=main, map=smap)
-    image_cols = [smap.apply(b) for b in gp_p2.basis_vectors()]
-    image_rank = matrix_rank(LatticeMap.from_columns(image_cols, f)) \
-        if image_cols else 0
+    # one kernel of the map on P'^gp gives both the rank of its image
+    # and the log-smoothness verdict that verify_base_change reports
+    smooth, kernel_basis = is_log_smooth(structural)
+    image_rank = gp_p2.rank - len(kernel_basis)
     fibre_dim = main.group_completion.rank - image_rank
     return SatBaseChangeResult(
         main_monoid=main,
@@ -197,6 +202,8 @@ def saturated_base_change(theta: MonoidChart,
         torsion_order=po.torsion_order,
         fibre_dim=fibre_dim,
         torsion_divisors=po.torsion_divisors,
+        structural_log_smooth=smooth,
+        structural_kernel=tuple(kernel_basis),
     )
 
 
@@ -205,10 +212,12 @@ def verify_base_change(r: SatBaseChangeResult, theta: MonoidChart) -> dict:
 
     Returns a report with one boolean per assertion: the main monoid is
     saturated, the structural map is log-smooth and dominant, and the
-    fibre dimension equals the group-rank difference.
+    fibre dimension equals the group-rank difference.  The log-smooth
+    verdict and its kernel certificate are the ones
+    saturated_base_change kept on the result.
     """
     saturated_ok = r.main_monoid.saturated
-    smooth_ok, certificate = is_log_smooth(r.structural_map)
+    smooth_ok = r.structural_log_smooth
     # in characteristic zero both are injectivity of the map on P'^gp
     dominant_ok = smooth_ok
     rank_main = r.main_monoid.group_completion.rank
@@ -223,5 +232,5 @@ def verify_base_change(r: SatBaseChangeResult, theta: MonoidChart) -> dict:
         "passed": saturated_ok and smooth_ok and dominant_ok and fibre_ok,
     }
     if not smooth_ok:
-        report["kernel_certificate"] = certificate
+        report["kernel_certificate"] = list(r.structural_kernel)
     return report

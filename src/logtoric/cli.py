@@ -70,6 +70,11 @@ LIBRARY_ERRORS = (ConeError, MonoidError, ChartError, ChartMapError,
                   BaseChangeError, OracleError, LatticeError)
 
 
+# The oracle tests each grid point of its box in Python, a few hundred
+# thousand a second, so the CLI refuses a larger box before any scan.
+MAX_ORACLE_BOX_POINTS = 10**6
+
+
 class ResolutionError(ValueError):
     """A task references an object that was never declared or produced."""
 
@@ -80,24 +85,71 @@ def _payload_field(payload, key):
     return payload[key]
 
 
-def _cmd_dual(payload):
-    c = decode_cone(_payload_field(payload, "cone"))
+class RunEnvironment:
+    """The work that the tasks of one ``run_problem`` call share.
+
+    ``decode`` keeps each decoded library object under its decoder, the
+    decoder's options and the canonical JSON of the resolved argument
+    value, so a chart named by several tasks, as ``$name`` or as an
+    earlier output's ``$name.field``, is decoded once.  ``call`` keeps
+    the result of a pure library function under its (hashable, frozen)
+    arguments.  Only results are kept: a decoder or call that raised
+    runs again for the next task that needs it and raises the same
+    error.  Nothing outlives the environment, and each ``run_problem``
+    call makes its own.
+    """
+
+    def __init__(self):
+        self._results: dict = {}
+
+    def _once(self, key, compute):
+        if key not in self._results:
+            self._results[key] = compute()
+        return self._results[key]
+
+    def decode(self, payload, key: str, decoder, **options):
+        """``decoder(payload[key], **options)``, once per distinct value."""
+        value = _payload_field(payload, key)
+        return self._once(
+            (decoder, tuple(sorted(options.items())),
+             json.dumps(value, sort_keys=True)),
+            lambda: decoder(value, **options))
+
+    def call(self, fn, *args):
+        """``fn(*args)``, once per distinct tuple of arguments."""
+        return self._once((fn, args), lambda: fn(*args))
+
+
+def _oracle_box(payload):
+    box = decode_box(_payload_field(payload, "box"))
+    points = 1
+    for lo, hi in zip(box.lower, box.upper):
+        points *= hi - lo + 1
+    if points > MAX_ORACLE_BOX_POINTS:
+        raise OracleError(
+            f"oracle box has {points} grid points, more than the "
+            f"{MAX_ORACLE_BOX_POINTS} the command scans")
+    return box
+
+
+def _cmd_dual(env, payload):
+    c = env.decode(payload, "cone", decode_cone)
     return {"dual": encode_cone(dual_cone(c))}
 
 
-def _cmd_hilbert(payload):
-    c = decode_cone(_payload_field(payload, "cone"), strongly_convex=True)
+def _cmd_hilbert(env, payload):
+    c = env.decode(payload, "cone", decode_cone, strongly_convex=True)
     return {"monoid": encode_monoid(hilbert_basis(c))}
 
 
-def _cmd_boundary_ideal(payload):
-    chart = decode_toric_chart(_payload_field(payload, "chart"))
+def _cmd_boundary_ideal(env, payload):
+    chart = env.decode(payload, "chart", decode_toric_chart)
     ideal = boundary_ideal_generators(chart)
     return {"ideal_generators": encode_vectors(ideal.generator_exponents)}
 
 
-def _cmd_faces(payload):
-    chart = decode_toric_chart(_payload_field(payload, "chart"))
+def _cmd_faces(env, payload):
+    chart = env.decode(payload, "chart", decode_toric_chart)
     return {"faces": [
         {
             "generators": encode_vectors(f.generators),
@@ -108,8 +160,8 @@ def _cmd_faces(payload):
     ]}
 
 
-def _cmd_orbit(payload):
-    chart = decode_toric_chart(_payload_field(payload, "chart"))
+def _cmd_orbit(env, payload):
+    chart = env.decode(payload, "chart", decode_toric_chart)
     gens = decode_vectors(_payload_field(payload, "face_generators"),
                           chart.lattice_rank)
     od = orbit_data(chart, chart_face(chart, gens))
@@ -119,8 +171,8 @@ def _cmd_orbit(payload):
     }
 
 
-def _cmd_split(payload):
-    chart = decode_toric_chart(_payload_field(payload, "chart"))
+def _cmd_split(env, payload):
+    chart = env.decode(payload, "chart", decode_toric_chart)
     s = split_torus_factor(chart)
     return {
         "n1": encode_vectors(s.n1.basis_vectors()),
@@ -130,8 +182,8 @@ def _cmd_split(payload):
     }
 
 
-def _cmd_check_log_smooth(payload):
-    chart = decode_monoid_chart(_payload_field(payload, "chart"))
+def _cmd_check_log_smooth(env, payload):
+    chart = env.decode(payload, "chart", decode_monoid_chart)
     verdict, certificate = is_log_smooth(chart)
     out = {"verdict": verdict}
     if not verdict:
@@ -139,8 +191,8 @@ def _cmd_check_log_smooth(payload):
     return out
 
 
-def _cmd_check_log_etale(payload):
-    chart = decode_monoid_chart(_payload_field(payload, "chart"))
+def _cmd_check_log_etale(env, payload):
+    chart = env.decode(payload, "chart", decode_monoid_chart)
     if not is_dominant(chart):
         return {"verdict": False}
     free_rank, torsion = cokernel_of_gp(chart)
@@ -148,29 +200,29 @@ def _cmd_check_log_etale(payload):
             "cokernel_torsion": [str(t) for t in torsion]}
 
 
-def _cmd_check_strict(payload):
-    chart = decode_monoid_chart(_payload_field(payload, "chart"))
+def _cmd_check_strict(env, payload):
+    chart = env.decode(payload, "chart", decode_monoid_chart)
     return {"verdict": is_strict(chart)}
 
 
-def _cmd_fibre_dim(payload):
-    chart = decode_monoid_chart(_payload_field(payload, "chart"))
+def _cmd_fibre_dim(env, payload):
+    chart = env.decode(payload, "chart", decode_monoid_chart)
     return {"fibre_dimension": str(fibre_dimension(chart))}
 
 
-def _cmd_base_change(payload):
-    theta = decode_monoid_chart(_payload_field(payload, "theta"))
-    phi = decode_monoid_chart(_payload_field(payload, "phi"))
-    result = saturated_base_change(theta, phi)
+def _cmd_base_change(env, payload):
+    theta = env.decode(payload, "theta", decode_monoid_chart)
+    phi = env.decode(payload, "phi", decode_monoid_chart)
+    result = env.call(saturated_base_change, theta, phi)
     out = encode_base_change_result(result)
     out["torsion_divisors"] = [str(d) for d in result.torsion_divisors]
     return out
 
 
-def _cmd_verify(payload):
-    theta = decode_monoid_chart(_payload_field(payload, "theta"))
-    phi = decode_monoid_chart(_payload_field(payload, "phi"))
-    result = saturated_base_change(theta, phi)
+def _cmd_verify(env, payload):
+    theta = env.decode(payload, "theta", decode_monoid_chart)
+    phi = env.decode(payload, "phi", decode_monoid_chart)
+    result = env.call(saturated_base_change, theta, phi)
     report = verify_base_change(result, theta)
     if "kernel_certificate" in report:
         report["kernel_certificate"] = \
@@ -181,23 +233,22 @@ def _cmd_verify(payload):
     }
 
 
-def _cmd_oracle(payload):
+def _cmd_oracle(env, payload):
     check = _payload_field(payload, "check")
     if check == "cone-points":
-        c = decode_cone(_payload_field(payload, "cone"))
-        pts = enumerate_cone_points(c, decode_box(_payload_field(payload, "box")))
+        c = env.decode(payload, "cone", decode_cone)
+        pts = enumerate_cone_points(c, _oracle_box(payload))
         return {"points": encode_vectors(pts)}
     if check == "hilbert-basis":
-        c = decode_cone(_payload_field(payload, "cone"))
-        basis = brute_hilbert_basis(c, decode_box(_payload_field(payload, "box")))
+        c = env.decode(payload, "cone", decode_cone)
+        basis = brute_hilbert_basis(c, _oracle_box(payload))
         return {"hilbert_basis": encode_vectors(sorted(basis))}
     if check == "saturation":
         gens = decode_vectors(_payload_field(payload, "generators"))
         group = decode_vectors(_payload_field(payload, "group"))
         rank = len(gens[0]) if gens else len(group[0])
         lattice = sublattice_from_vectors(rank, group)
-        out = brute_saturation(gens, lattice,
-                               decode_box(_payload_field(payload, "box")))
+        out = brute_saturation(gens, lattice, _oracle_box(payload))
         return {"irreducibles": encode_vectors(sorted(out))}
     if check == "minimal-elements":
         tuples = decode_vectors(_payload_field(payload, "tuples"))
@@ -206,7 +257,7 @@ def _cmd_oracle(payload):
     raise FormatError(f"unknown oracle check {check!r}")
 
 
-def _cmd_minimal_elements(payload):
+def _cmd_minimal_elements(env, payload):
     tuples = decode_vectors(_payload_field(payload, "tuples"))
     width = len(tuples[0]) if tuples else 0
     out = minimal_elements(NatTupleSet(width, frozenset(tuples)))
@@ -231,16 +282,16 @@ HANDLERS = {
 }
 
 
-def _resolve(value, env):
+def _resolve(value, names):
     """Substitute object references ("$name" strings, with optional
     dotted field access into earlier task outputs) by their JSON values;
     other strings pass through as literals."""
     if not isinstance(value, str) or not value.startswith("$"):
         return value
     name, _, path = value[1:].partition(".")
-    if name not in env:
+    if name not in names:
         raise ResolutionError(f"reference to undeclared object {name!r}")
-    obj = env[name]
+    obj = names[name]
     for field in path.split(".") if path else []:
         if not isinstance(obj, dict) or field not in obj:
             raise ResolutionError(
@@ -250,7 +301,14 @@ def _resolve(value, env):
 
 
 def run_problem(doc) -> tuple[dict, bool]:
-    """Execute a problem file; returns (certificate, all_tasks_ok)."""
+    """Execute a problem file; returns (certificate, all_tasks_ok).
+
+    The tasks share one RunEnvironment, which lives for this call only:
+    each declared object and each earlier output is decoded once per
+    decoder, and the saturated base change of a pair is computed once
+    for ``base-change`` and ``verify``.  Failures are not kept, so a
+    task that fails does so with the same error however often it runs.
+    """
     if not isinstance(doc, dict):
         raise FormatError("problem file must be a JSON object")
     version = doc.get("version")
@@ -262,11 +320,12 @@ def run_problem(doc) -> tuple[dict, bool]:
     tasks = doc.get("tasks", [])
     if not isinstance(tasks, list):
         raise FormatError("tasks must be a JSON array")
-    env = {}
+    names = {}
     for name, obj in objects.items():
         if not isinstance(obj, dict):
             raise FormatError(f"object {name!r} must be a JSON object")
-        env[name] = {k: v for k, v in obj.items() if k != "type"}
+        names[name] = {k: v for k, v in obj.items() if k != "type"}
+    env = RunEnvironment()
     results = []
     all_ok = True
     for i, task in enumerate(tasks):
@@ -278,16 +337,16 @@ def run_problem(doc) -> tuple[dict, bool]:
         arguments = task.get("arguments", {})
         if not isinstance(arguments, dict):
             raise FormatError(f"task {i} arguments must be a JSON object")
-        payload = {k: _resolve(v, env) for k, v in arguments.items()}
+        payload = {k: _resolve(v, names) for k, v in arguments.items()}
         entry = {"command": command}
         if "output_name" in task:
             entry["output_name"] = task["output_name"]
         try:
-            result = HANDLERS[command](payload)
+            result = HANDLERS[command](env, payload)
             entry["ok"] = True
             entry["result"] = result
             if "output_name" in task:
-                env[task["output_name"]] = result
+                names[task["output_name"]] = result
         except LIBRARY_ERRORS as exc:
             entry["ok"] = False
             entry["error"] = str(exc)
@@ -371,7 +430,7 @@ def main(argv=None) -> int:
             certificate, ok = run_problem(doc)
             exit_code = 0 if ok else 1
         else:
-            certificate = HANDLERS[args.command](doc)
+            certificate = HANDLERS[args.command](RunEnvironment(), doc)
             exit_code = 0
     except (FormatError, ResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

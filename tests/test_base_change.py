@@ -10,7 +10,12 @@ from logtoric.base_change import (
 )
 from logtoric.lattice import LatticeMap, rank as lattice_rank,\
     sublattice_from_vectors
-from logtoric.log_morphism import MonoidChart, identity_chart, is_dominant
+from logtoric.log_morphism import (
+    MonoidChart,
+    identity_chart,
+    is_dominant,
+    is_log_smooth,
+)
 from logtoric.monoid import affine_monoid, trivial_monoid
 from logtoric.oracle import Box, brute_saturation
 
@@ -123,3 +128,21 @@ def test_dimension_additivity_on_corpus():
         if is_dominant(phi):
             assert r.main_monoid.group_completion.rank == rq + rp2 - rp
         assert verify_base_change(r, theta)["passed"]
+
+
+def test_result_keeps_the_structural_kernel():
+    # the verdict and kernel kept on the result are is_log_smooth's, and
+    # fibre_dim is the main rank minus the rank of the image of P'^gp
+    rng = random.Random(31)
+    for _ in range(6):
+        theta, phi = random_toric_pair(rng)
+        r = saturated_base_change(theta, phi)
+        smooth, kernel_basis = is_log_smooth(r.structural_map)
+        assert r.structural_log_smooth == smooth
+        assert r.structural_kernel == tuple(kernel_basis)
+        images = [r.structural_map.map.apply(b) for b in
+                  phi.target.group_completion.basis_vectors()]
+        image_rank = lattice_rank(LatticeMap.from_columns(
+            images, r.main_monoid.ambient_rank)) if images else 0
+        assert r.fibre_dim == \
+            r.main_monoid.group_completion.rank - image_rank

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import pathlib
+import time
 
 import pytest
 
+from logtoric import cli
 from logtoric.cli import main, run_problem
 from logtoric.serialize import (
     decode_cone,
@@ -187,3 +190,109 @@ def test_serialize_round_trips():
 def test_dumps_canonical():
     assert dumps({"b": 1, "a": 2}).startswith('{\n  "a"')
     assert dumps({}).endswith("\n")
+
+
+def count_calls(monkeypatch, name):
+    """Wrap cli.<name> so that each call is counted; returns the counts."""
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def golden_base_change(tag):
+    for line in (FIXTURES / "golden" / "base-change.jsonl").open():
+        entry = json.loads(line)
+        if entry["tag"] == tag:
+            return entry
+    raise KeyError(tag)
+
+
+@pytest.mark.parametrize("tag, charts", [("pair:0", 2), ("pair:47", 1)])
+def test_run_decodes_each_chart_once(monkeypatch, tag, charts):
+    # pair:47 declares theta and phi with the same chart
+    entry = golden_base_change(tag)
+    decodes = count_calls(monkeypatch, "decode_monoid_chart")
+    base_changes = count_calls(monkeypatch, "saturated_base_change")
+    certificate, ok = run_problem(entry["problem"])
+    assert ok
+    assert hashlib.sha256(dumps(certificate).encode()).hexdigest() \
+        == entry["sha256"]
+    assert len(decodes) == charts
+    assert len(base_changes) == 1
+
+
+def test_run_environment_dies_with_the_call(monkeypatch):
+    problem = golden_base_change("pair:0")["problem"]
+    decodes = count_calls(monkeypatch, "decode_monoid_chart")
+    first, _ = run_problem(problem)
+    assert len(decodes) == 2
+    second, _ = run_problem(problem)
+    assert len(decodes) == 4
+    assert dumps(first) == dumps(second)
+
+
+def test_run_failures_are_not_kept(monkeypatch, tmp_path, capsys):
+    nat2 = {"rank": "2", "generators": [["1", "0"], ["0", "1"]]}
+    pair = {"theta": "$theta", "phi": "$phi"}
+    problem = {
+        "version": "1",
+        "objects": {
+            # theta kills (1, -1), so it is not dominant
+            "theta": {"type": "monoid_chart", "source": nat2,
+                      "target": {"rank": "1", "generators": [["1"]]},
+                      "matrix": [["1", "1"]]},
+            "phi": {"type": "monoid_chart", "source": nat2, "target": nat2,
+                    "matrix": [["1", "0"], ["0", "1"]]}},
+        "tasks": [{"command": "base-change", "arguments": pair},
+                  {"command": "verify", "arguments": pair}]}
+    base_changes = count_calls(monkeypatch, "saturated_base_change")
+    code, out, _ = run_cli(capsys, ["run", "-i",
+                                    write_payload(tmp_path, problem)])
+    assert code == 1
+    error = "saturated base change requires a dominant first chart"
+    assert json.loads(out)["results"] == [
+        {"command": "base-change", "ok": False, "error": error},
+        {"command": "verify", "ok": False, "error": error}]
+    assert len(base_changes) == 2
+
+
+def test_output_references_resolve_by_value():
+    # "c" is rebound by the second task, so "$c.dual" names two different
+    # cones; each task must see the value it resolved
+    quadric = {"rank": "2", "generators": [["1", "0"], ["1", "2"]]}
+    certificate, ok = run_problem({
+        "version": "1",
+        "objects": {"sigma": {"type": "cone", **quadric}},
+        "tasks": [
+            {"command": "dual", "arguments": {"cone": "$sigma"},
+             "output_name": "c"},
+            {"command": "dual", "arguments": {"cone": "$c.dual"},
+             "output_name": "c"},
+            {"command": "hilbert", "arguments": {"cone": "$c.dual"}}]})
+    assert ok
+    dual = cli.HANDLERS["dual"](cli.RunEnvironment(), {"cone": quadric})
+    again = cli.HANDLERS["dual"](cli.RunEnvironment(), {"cone": dual["dual"]})
+    hilbert = cli.HANDLERS["hilbert"](cli.RunEnvironment(),
+                                      {"cone": again["dual"]})
+    assert [dumps(r["result"]) for r in certificate["results"]] == \
+        [dumps(dual), dumps(again), dumps(hilbert)]
+
+
+def test_oracle_refuses_a_huge_box(tmp_path, capsys):
+    path = write_payload(tmp_path, {
+        "check": "hilbert-basis",
+        "cone": {"rank": "3", "generators": [["1", "1", "0"],
+                                             ["1", "-1", "2"]]},
+        "box": {"rank": "3", "lower": ["-1000"] * 3,
+                "upper": ["1000"] * 3}})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["oracle", "-i", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert "8012006001 grid points" in err
