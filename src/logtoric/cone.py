@@ -4,17 +4,19 @@ Cones are stored in double description: extreme ray generators together
 with the facet normals (and, for cones containing lines, an explicit
 lineality basis plus span equations).  All vectors are primitive.
 
-Halfspaces become rays by trying each (d-1)-subset of the rows: its
-kernel is read off the signed maximal minors (Cramer's rule), with no
-Smith normal form.  A pointed cone takes that step once, for its facets;
-its rays are then picked out of the generators by their tight facets.
-Faces are the closed sets of the ray/facet incidence.
+Halfspaces become rays by Motzkin's incremental double description:
+start from the simplicial cone of d independent rows, then cut by one
+row at a time, combining the adjacent pairs of rays on either side of
+it.  Adjacency is read off the zero sets of the rays, as bit masks over
+the rows (Fukuda-Prodon, 1996).  A pointed cone takes that step once,
+for its facets; its rays are then picked out of the generators by their
+tight facets.  Faces are the closed sets of the ray/facet incidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import gcd
 
 from .lattice import (
     LatticeMap,
@@ -85,12 +87,115 @@ def _maximal_minors(rows) -> Vec:
                  for j in range(d))
 
 
+def _independent_rows(rows, d: int) -> list[int]:
+    """Indices of the first d linearly independent rows, in input order.
+
+    Each row is reduced by fraction-free elimination against the rows
+    kept so far, whose pivots it then has as zeros; it is independent of
+    them exactly when something is left.
+    """
+    kept: list[tuple[int, list[int]]] = []
+    picked = []
+    for i, r in enumerate(rows):
+        v = list(r)
+        for p, b in kept:
+            if v[p]:
+                bp, vp = b[p], v[p]
+                v = [bp * x - vp * y for x, y in zip(v, b)]
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is None:
+            continue
+        g = gcd(*v)
+        kept.append((p, [x // g for x in v]))
+        picked.append(i)
+        if len(picked) == d:
+            break
+    return picked
+
+
+def _double_description(arows, d: int) -> list[Vec]:
+    """Extreme rays of {x in Q^d : <a, x> >= 0 for every row a}, for rows
+    of rank d >= 2, by incremental double description.
+
+    The first d independent rows cut out a simplicial cone; its ray
+    opposite row i is the signed maximal minors of the other d-1 rows,
+    signed to pair positively with row i.  The other rows are then added
+    one at a time, in input order.  Each ray carries its zero set, the
+    rows met so far that vanish on it, as a bit mask indexed by row.  A
+    pair (r+, r-) on either side of the new row is adjacent when no
+    third ray's zero set contains their common zero set Z; rank d-2 on
+    Z needs at least d-2 rows, which screens most pairs first.
+    """
+    base = _independent_rows(arows, d)
+    full = sum(1 << i for i in base)
+    rays, zeros = [], []
+    for i in base:
+        w = _maximal_minors([arows[j] for j in base if j != i])
+        rays.append(primitive(w if dot(arows[i], w) > 0 else vec_neg(w)))
+        zeros.append(full & ~(1 << i))
+    done = set(base)
+    for k, a in enumerate(arows):
+        if k in done:
+            continue
+        bit = 1 << k
+        vals = [sum(x * y for x, y in zip(a, r)) for r in rays]
+        new_rays, new_zeros = [], []
+        pos, neg = [], []
+        for i, s in enumerate(vals):
+            if s > 0:
+                pos.append(i)
+            elif s < 0:
+                neg.append(i)
+            if s >= 0:
+                new_rays.append(rays[i])
+                new_zeros.append(zeros[i] | bit if s == 0 else zeros[i])
+        for i in pos:
+            zi, ri, si = zeros[i], rays[i], vals[i]
+            for j in neg:
+                z = zi & zeros[j]
+                if z.bit_count() < d - 2:
+                    continue
+                if any(t != i and t != j and zt & z == z
+                       for t, zt in enumerate(zeros)):
+                    continue
+                sj = vals[j]
+                v = [si * y - sj * x for x, y in zip(ri, rays[j])]
+                g = gcd(*v)
+                new_rays.append(tuple(x // g for x in v))
+                new_zeros.append(z | bit)
+        rays, zeros = new_rays, new_zeros
+    return rays
+
+
 def extreme_rays_of_halfspaces(rows, ambient_rank: int):
     """Extreme rays and lineality of {x : <a, x> >= 0 for every row a}.
 
     Returns (rays, lineality_basis).  Rays are primitive and only defined
     modulo lineality; a deterministic complement of the lineality makes
-    the choice reproducible.
+    the choice reproducible.  In the complement's coordinates the rows
+    have rank d, the cone there is pointed, and _double_description
+    finds its extreme rays.
+
+    Correctness.  Every cone met along the way is cut out by rows of
+    rank d, so it is pointed.  For a pointed cone P with extreme rays R
+    and a new row a, the extreme rays of P cap {<a, x> >= 0} are the r
+    in R with <a, r> >= 0, and the ray <a, r+> r- - <a, r-> r+ on the
+    hyperplane for each adjacent pair of R with <a, r+> > 0 > <a, r->
+    (Motzkin; Fukuda-Prodon 1996, Lemma 3).  Two extreme rays are
+    adjacent when the smallest face holding both is 2-dimensional.
+    That face is cut out by the rows tight on both, so its extreme rays
+    are those whose zero set contains the pair's common zero set; being
+    pointed, it is 2-dimensional exactly when the pair are its only
+    extreme rays (Fukuda-Prodon, Prop. 7).  The combinations are
+    distinct: each lies in the relative interior of its own 2-face.
+
+    Termination.  Each row is added once.  The ray set after each row
+    is the set of extreme rays of a polyhedral cone, which is finite:
+    each ray is fixed by its zero set, a subset of the rows.
+
+    Bytes.  The extreme rays of a pointed cone are unique up to positive
+    scaling, whatever order the rows are added in; the output is made
+    primitive and sorted, so it does not depend on that order.
     """
     rows = [tuple(r) for r in rows]
     for r in rows:
@@ -109,31 +214,16 @@ def extreme_rays_of_halfspaces(rows, ambient_rank: int):
     wcols = comp.basis_vectors() if comp is not None else LatticeMap.identity(n).columns()
     # inequalities restricted to the complement coordinates
     arows = [tuple(dot(r, w) for w in wcols) for r in rows]
-    cands = set()
     if d == 1:
-        w = (1,)
+        rays = []
         if all(a[0] >= 0 for a in arows):
-            cands.add(w)
+            rays.append((1,))
         if all(a[0] <= 0 for a in arows):
-            cands.add((-1,))
+            rays.append((-1,))
     else:
-        seen = set()
-        for subset in combinations(range(len(arows)), d - 1):
-            w = _maximal_minors([arows[i] for i in subset])
-            if is_zero(w):
-                continue
-            w = primitive(w)
-            if w in seen or vec_neg(w) in seen:
-                continue
-            seen.add(w)
-            vals = [dot(a, w) for a in arows]
-            if all(v >= 0 for v in vals):
-                cands.add(w)
-            elif all(v <= 0 for v in vals):
-                cands.add(vec_neg(w))
+        rays = _double_description(arows, d)
     wmap = LatticeMap.from_columns(wcols, n)
-    rays = [primitive(wmap.apply(w)) for w in sorted(cands)]
-    return _sorted_vecs(rays), lin_basis
+    return _sorted_vecs(primitive(wmap.apply(w)) for w in rays), lin_basis
 
 
 @dataclass(frozen=True)

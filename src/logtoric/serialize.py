@@ -13,7 +13,7 @@ from .base_change import SatBaseChangeResult
 from .cone import RationalCone, cone_from_generators
 from .lattice import LatticeMap
 from .log_morphism import MonoidChart
-from .monoid import AffineMonoid, affine_monoid, saturate
+from .monoid import AffineMonoid, affine_monoid, saturate, saturated_hull
 from .oracle import Box
 from .toric_chart import ToricChart, toric_chart
 
@@ -117,6 +117,13 @@ def decode_monoid(obj) -> AffineMonoid:
         raise FormatError("monoid must be an object with a rank")
     rank = _int(obj["rank"])
     gens = decode_vectors(obj.get("generators", []), rank)
+    if obj.get("saturated"):
+        # With no units, the saturation is pointed and its Hilbert basis is
+        # the set of irreducibles that affine_monoid would keep, so the
+        # hull is what affine_monoid followed by saturate returns.
+        m = saturated_hull(rank, gens)
+        if m.unit_sublattice.rank == 0:
+            return m
     m = affine_monoid(rank, gens)
     if obj.get("saturated") and not m.saturated:
         m = saturate(m)

@@ -1,11 +1,14 @@
-"""The cone routines as they were before the closure and Cramer rewrite.
+"""The cone routines as they were before the double description, closure
+and Cramer rewrites.
 
 Test-only reference for the cross-checks in test_cone_reference.py:
 
-- ``extreme_rays_of_halfspaces`` runs a full SNF kernel on every
-  (d-1)-subset of the rows;
+- ``extreme_rays_of_halfspaces`` tries every (d-1)-subset of the rows
+  and runs a full SNF kernel on each, where the library adds one row at
+  a time by incremental double description;
 - ``cone_from_generators`` always runs the halfspace-to-ray step twice,
   once for the facets and once more on the facets for the rays;
+- ``dual_cone`` is the library's, on the subset search above;
 - ``faces`` walks all 2^F subsets of the facets.
 
 Each returns the same sets in the same order as the library routine it
@@ -111,6 +114,23 @@ def cone_from_generators(ambient_rank, vectors, strongly_convex=True):
         generators=_sorted_vecs(rays),
         facet_normals=_sorted_vecs(facet_rows),
         equations=tuple(sorted(eq_rows)),
+        lineality=tuple(lin),
+    )
+
+
+def dual_cone(c):
+    n = c.ambient_rank
+    hrows = list(c.generators)
+    for l in c.lineality:
+        hrows += [l, vec_neg(l)]
+    if not hrows:
+        return RationalCone(n, (), (), (), tuple(LatticeMap.identity(n).columns()))
+    rays, lin = extreme_rays_of_halfspaces(hrows, n)
+    return RationalCone(
+        ambient_rank=n,
+        generators=_sorted_vecs(rays),
+        facet_normals=_sorted_vecs(c.generators),
+        equations=tuple(sorted(_sign_normalized(l) for l in c.lineality)),
         lineality=tuple(lin),
     )
 

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import pathlib
+import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logtoric import cli
 from logtoric.cli import main, run_problem
+from logtoric.lattice import lattices_equal, vec_neg
+from logtoric.monoid import affine_monoid, hilbert_basis, saturate
 from logtoric.serialize import (
     decode_cone,
     decode_monoid,
@@ -17,7 +21,10 @@ from logtoric.serialize import (
     encode_monoid,
     encode_monoid_chart,
     encode_toric_chart,
+    encode_vectors,
 )
+
+from corpus_util import random_pointed_cone, random_vector
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -185,6 +192,45 @@ def test_serialize_round_trips():
         "source": {"rank": "1", "generators": [["1"]], "saturated": True},
         "target": {"rank": "1", "generators": [["1"]], "saturated": True},
         "matrix": [["2"]]}
+
+
+def _monoid_or_error(build):
+    try:
+        m = build()
+    except ValueError as e:
+        return f"{type(e).__name__}: {e}"
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_saturated_decode_matches_saturate(seed):
+    """A monoid declared saturated decodes to saturate(affine_monoid(...)),
+    whether its generators are a Hilbert basis, unsaturated (scaled and
+    summed vectors) or hold units (a vector and its negative)."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    kind = rng.choice(["saturated", "unsaturated", "units"])
+    if kind == "saturated":
+        gens = list(hilbert_basis(random_pointed_cone(rng, n, 2, 4)).generators) \
+            if n > 1 else [(1,)]
+    else:
+        gens = [random_vector(rng, n, 2) for _ in range(rng.randint(1, 4))]
+        gens += [tuple(rng.randint(2, 3) * x for x in rng.choice(gens)),
+                 tuple(x + y for x, y in zip(rng.choice(gens), rng.choice(gens)))]
+        if kind == "units":
+            gens.append(vec_neg(rng.choice(gens)))
+    rng.shuffle(gens)
+    doc = {"rank": str(n), "generators": encode_vectors(gens),
+           "saturated": True}
+    got = _monoid_or_error(lambda: decode_monoid(doc))
+    want = _monoid_or_error(lambda: saturate(affine_monoid(n, gens)))
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.generators, got.cone, got.saturated) \
+        == (want.generators, want.cone, want.saturated)
+    assert lattices_equal(got.unit_sublattice, want.unit_sublattice)
 
 
 def test_dumps_canonical():

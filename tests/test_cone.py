@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,7 @@ from logtoric.cone import (
     dual_cone,
     faces,
 )
+from logtoric.monoid import hilbert_basis
 from logtoric.oracle import Box, enumerate_cone_points
 
 from corpus_util import random_pointed_cone
@@ -105,3 +107,33 @@ def test_cone_points_lex_order():
     pts = enumerate_cone_points(c, Box(2, (0, 0), (2, 2)))
     assert len(pts) == 9
     assert pts == sorted(pts)
+
+
+# The cones over the 5-cube [-1, 1]^5 and the 5-dimensional
+# cross-polytope at height 1, each the other's dual.
+CUBE6 = [v + (1,) for v in product((-1, 1), repeat=5)]
+CROSS6 = [tuple(s * (i == j) for j in range(5)) + (1,)
+          for i in range(5) for s in (1, -1)]
+
+
+def test_rank_six_cube_and_cross_polytope():
+    cube = cone_from_generators(6, CUBE6)
+    cross = cone_from_generators(6, CROSS6)
+    assert (len(cube.generators), len(cube.facet_normals)) == (32, 10)
+    assert (len(cross.generators), len(cross.facet_normals)) == (10, 32)
+    assert dual_cone(cube) == cross
+    assert dual_cone(cross) == cube
+    assert dual_cone(dual_cone(cube)) == cube
+    assert dual_cone(dual_cone(cross)) == cross
+
+
+def test_rank_six_dual_hilbert_bases():
+    """The dual of the cube cone is the cross-polytope cone: its Hilbert
+    basis is the 10 vertices and the centre.  The dual of the
+    cross-polytope cone is the cube cone: its Hilbert basis is the 3^5
+    points of [-1, 1]^5 at height 1."""
+    cross = hilbert_basis(dual_cone(cone_from_generators(6, CUBE6)))
+    assert set(cross.generators) == set(CROSS6) | {(0,) * 5 + (1,)}
+    cube = hilbert_basis(dual_cone(cone_from_generators(6, CROSS6)))
+    assert len(cube.generators) == 243
+    assert set(cube.generators) == {v + (1,) for v in product((-1, 0, 1), repeat=5)}

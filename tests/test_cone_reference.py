@@ -1,17 +1,27 @@
 """Cross-checks of the cone layer against the routines it replaced.
 
-cone_reference.py keeps the old code: an SNF kernel per subset in the
-halfspace-to-ray step, two halfspace-to-ray passes per cone, and the 2^F
-face walk.  The library must give the same sets in the same order.
+cone_reference.py keeps the old code: an SNF kernel per (d-1)-subset of
+the rows in the halfspace-to-ray step, where the library runs an
+incremental double description; two halfspace-to-ray passes per cone;
+and the 2^F face walk.  The library must give the same sets in the same
+order.
 """
 
 import math
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cone_reference as ref
-from logtoric.cone import ConeError, _maximal_minors, cone_from_generators, faces
+from logtoric.cone import (
+    ConeError,
+    _maximal_minors,
+    cone_from_generators,
+    dual_cone,
+    extreme_rays_of_halfspaces,
+    faces,
+)
 from logtoric.lattice import LatticeMap, is_zero, kernel, primitive, vec_neg
 
 from corpus_util import random_pointed_cone, random_vector
@@ -106,3 +116,61 @@ def test_pointed_path_matches_two_passes(seed, strongly_convex):
     rng.shuffle(vecs)
     assert _cone_or_error(cone_from_generators, n, vecs, strongly_convex) \
         == _cone_or_error(ref.cone_from_generators, n, vecs, strongly_convex)
+
+
+def _rows_with_relations(rng, n, k):
+    """k random rows of rank n, confined to a random sublattice of lower
+    rank two times in five (so the cone has lineality), followed by
+    duplicate, opposite, scaled and summed rows."""
+    rows = [random_vector(rng, n, 3) for _ in range(k)]
+    if n > 1 and rng.random() < 0.4:
+        r = rng.randint(1, n - 1)
+        m = LatticeMap(r, n, tuple(random_vector(rng, r, 2) for _ in range(n)))
+        rows = [m.apply(v[:r]) for v in rows]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        rows.append(rng.choice([
+            a, vec_neg(a), tuple(rng.randint(2, 3) * x for x in a),
+            tuple(x + y for x, y in zip(a, b))]))
+    rng.shuffle(rows)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_double_description_matches_subset_search(seed):
+    """Rows of rank 1..6: full cones, cones with lineality, cones of
+    lower dimension (from opposite rows) and the cone {0} (from rows
+    whose positive hull is a linear space) all occur."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    rows = _rows_with_relations(rng, n, rng.randint(1, 9 - n // 3))
+    rays, lin = extreme_rays_of_halfspaces(rows, n)
+    ref_rays, ref_lin = ref.extreme_rays_of_halfspaces(rows, n)
+    assert (rays, lin) == (ref_rays, ref_lin)
+
+
+@pytest.mark.parametrize("rows, rays", [
+    ([(1, 0), (0, 1), (-1, -1)], ()),
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)],
+     ((0, 0, 1), (0, 1, 0))),
+    ([(1, 1), (2, 2), (1, 1), (0, 1), (1, 2)], ((1, 0), (-1, 1))),
+])
+def test_double_description_corner_cases(rows, rays):
+    """The cone {0}, a face of lower dimension, and repeated, scaled and
+    summed rows."""
+    assert extreme_rays_of_halfspaces(rows, len(rows[0]))[0] == rays
+    assert ref.extreme_rays_of_halfspaces(rows, len(rows[0]))[0] == rays
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_dual_matches_subset_search(seed):
+    """dual_cone against the dual built on the reference routine, for
+    cones of rank 1..6 with and without lineality."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    c = cone_from_generators(
+        n, _rows_with_relations(rng, n, rng.randint(1, 9 - n // 3)),
+        strongly_convex=False)
+    assert dual_cone(c) == ref.dual_cone(c)
